@@ -43,7 +43,6 @@
 #include <thread>
 #include <vector>
 
-#include "op2ca/comm/channel.hpp"
 #include "op2ca/comm/cost_model.hpp"
 #include "op2ca/comm/mpi_backend.hpp"
 #include "op2ca/comm/transport.hpp"

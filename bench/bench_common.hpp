@@ -12,19 +12,17 @@
 //   --csv          emit CSV instead of aligned text
 //   --calibrate=0  skip kernel calibration (use default costs)
 //   --threads=N    model N shared-memory workers per rank (Machine::threads_per_rank)
-//   --layout=K     dat storage layout {aos,soa,aosoa}; non-AoS enters the
-//                  model as Machine::vector_width (see --vector-width)
-//   --aosoa-block=N  AoSoA inner block (elements; power of two, default 8)
+//   --layout=K     dat storage layout {aos,soa}; SoA enters the model as
+//                  Machine::vector_width (see --vector-width)
 //   --vector-width=X override the SIMD speedup factor applied for a
 //                  non-AoS layout (default: kDefaultLayoutSpeedup, the
 //                  measured direct-loop A/B ratio from BENCH_simd.json)
 //   --taskgraph    model dependency-driven block sweeps instead of
 //                  colour barriers (Machine::taskgraph; executing
 //                  benches also set WorldConfig::taskgraph)
-//   --rails=N      stripe large messages across N network rails (0 =
-//                  keep the machine preset's rail count; model benches
-//                  override Machine::net.net_rails, executing benches
-//                  set WorldConfig::transport.rails)
+//   --rails=N      model N network rails (0 = keep the machine preset's
+//                  rail count; overrides Machine::net.net_rails — the
+//                  runtime sends one message per neighbour regardless)
 //   --persistent   pre-negotiate persistent channels per cached exchange
 //                  plan (WorldConfig::transport.persistent)
 //   --backend=K    transport backend {sim,mpi}; mpi is the real backend
@@ -57,7 +55,6 @@
 #include <string>
 #include <vector>
 
-#include "op2ca/comm/channel.hpp"
 #include "op2ca/comm/cost_model.hpp"
 #include "op2ca/comm/transport.hpp"
 #include "op2ca/core/chain.hpp"
@@ -88,7 +85,6 @@ struct BenchConfig {
   bool calibrate = true;
   int threads = 1;
   mesh::LayoutKind layout = mesh::LayoutKind::AoS;
-  int aosoa_block = 8;
   double vector_width = 0;  ///< 0 = derive from `layout`.
   bool taskgraph = false;
   int rails = 0;  ///< 0 = machine preset's rail count.
@@ -108,7 +104,6 @@ struct BenchConfig {
     cfg.calibrate = opt.get_bool("calibrate", true);
     cfg.threads = static_cast<int>(opt.get_int("threads", 1));
     cfg.layout = mesh::layout_by_name(opt.get_string("layout", "aos"));
-    cfg.aosoa_block = static_cast<int>(opt.get_int("aosoa-block", 8));
     cfg.vector_width = opt.get_double("vector-width", 0);
     cfg.taskgraph = opt.get_bool("taskgraph", false);
     cfg.rails = static_cast<int>(opt.get_int("rails", 0));
@@ -165,25 +160,6 @@ struct BenchConfig {
     return mach;
   }
 
-  /// Transport knobs as a WorldConfig ingredient (benches that execute
-  /// exchanges rather than evaluate the model).
-  sim::TransportConfig transport_config() const {
-    sim::TransportConfig tc;
-    tc.backend = sim::backend_by_name(backend);
-    if (rails > 0) tc.rails = rails;
-    tc.persistent = persistent;
-    return tc;
-  }
-
-  /// Layout knobs as a WorldConfig ingredient (benches that execute
-  /// loops rather than evaluate the model).
-  mesh::LayoutConfig layout_config() const {
-    mesh::LayoutConfig lc;
-    lc.kind = layout;
-    lc.aosoa_block = aosoa_block;
-    return lc;
-  }
-
   /// Device knobs as a WorldConfig ingredient (benches that execute
   /// loops rather than evaluate the model).
   gpu::DeviceConfig device_config() const {
@@ -198,7 +174,7 @@ struct BenchConfig {
 
 inline std::set<std::string> standard_option_names() {
   return {"scale",      "csv",     "calibrate",  "threads",
-          "layout",     "aosoa-block", "vector-width", "taskgraph",
+          "layout",     "vector-width", "taskgraph",
           "rails",      "persistent",  "backend",     "calibration",
           "device",     "device-mode", "pipeline-stages",
           "device-staging", "tile"};

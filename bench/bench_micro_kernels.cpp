@@ -173,7 +173,7 @@ DispatchResult bench_direct_dispatch() {
     x[1] += 0.25 * y[1];
   };
   const mesh::DatLayout aos2 =
-      mesh::DatLayout::make(mesh::LayoutKind::AoS, 2, kN, 8);
+      mesh::DatLayout::make(mesh::LayoutKind::AoS, 2, kN);
   std::vector<cd::ResolvedArg> rargs(2);
   rargs[0].base = a.data();
   rargs[0].bind_layout(aos2);
@@ -216,7 +216,7 @@ DispatchResult bench_indirect_dispatch() {
 
   const auto kernel = apps::mgcfd::kernels::synth_update;
   const mesh::DatLayout aos2 =
-      mesh::DatLayout::make(mesh::LayoutKind::AoS, 2, kNodes, 8);
+      mesh::DatLayout::make(mesh::LayoutKind::AoS, 2, kNodes);
   std::vector<cd::ResolvedArg> rargs(4);
   for (int j = 0; j < 4; ++j) {
     rargs[static_cast<std::size_t>(j)].base =
@@ -383,7 +383,7 @@ ThreadedSweepResult bench_threaded_sweep() {
 
   const auto kernel = apps::mgcfd::kernels::synth_update;
   const mesh::DatLayout aos2 =
-      mesh::DatLayout::make(mesh::LayoutKind::AoS, 2, kNodes, 8);
+      mesh::DatLayout::make(mesh::LayoutKind::AoS, 2, kNodes);
   std::vector<cd::ResolvedArg> rargs(4);
   for (int j = 0; j < 4; ++j) {
     rargs[static_cast<std::size_t>(j)].base =
@@ -597,19 +597,19 @@ void write_locality_json(const char* path) {
 // ---------------------------------------------------------------------
 // SIMD layout A/B harness: the same scrambled/RCM hex3d methodology as
 // the locality harness, but the knob is the dat storage layout
-// (WorldConfig::layout = AoS / SoA / AoSoA) and the kernels are the two
+// (WorldConfig::layout = AoS / SoA) and the kernels are the two
 // shapes the layout is supposed to help or hurt:
 //   direct:   a partial-component update on dim-8 dats (touches 2 of 8
 //             components) — under AoS every 64-byte element row is
 //             pulled for 16 useful bytes and the loop strides by 8;
-//             under SoA/AoSoA the touched components stream
+//             under SoA the touched components stream
 //             contiguously and vectorise.
 //   indirect: the same 2-of-8 component pattern gathered through the
 //             edge->node map — the layout's worst case, since SoA turns
 //             one gathered row into one gather per touched component.
 // Results at pool widths 1 and 4 go to BENCH_simd.json; speedups are vs
-// AoS at the same ordering/width/kernel. best_speedup is the best
-// non-AoS direct-loop speedup in the RCM ordering (the configuration
+// AoS at the same ordering/width/kernel. best_speedup is the SoA
+// direct-loop speedup (best width) in the RCM ordering (the configuration
 // the model's Machine::vector_width is calibrated from).
 // ---------------------------------------------------------------------
 
@@ -658,7 +658,6 @@ struct SimdOrder {
 
 struct SimdResult {
   gidx_t nodes = 0, edges = 0;
-  int aosoa_block = 8;
   std::vector<SimdOrder> orders;
   double best_speedup = 0;
 };
@@ -707,9 +706,7 @@ SimdWidth bench_simd_case(const mesh::MeshDef& m, mesh::ReorderKind kind,
   return r;
 }
 
-/// `only` restricts the non-AoS layouts ("soa" | "aosoa"; empty = both —
-/// AoS always runs as the baseline).
-SimdResult bench_simd(const std::string& only, int aosoa_block) {
+SimdResult bench_simd() {
   // ~373k nodes: the dim-8 streams (a + b = 48 MB) exceed the LLC, so
   // the direct loop is bandwidth-bound and the layout decides how many
   // of those bytes are useful.
@@ -728,20 +725,6 @@ SimdResult bench_simd(const std::string& only, int aosoa_block) {
   SimdResult r;
   r.nodes = h.mesh.set(h.nodes).size;
   r.edges = h.mesh.set(h.edges).size;
-  r.aosoa_block = aosoa_block;
-
-  std::vector<std::pair<std::string, mesh::LayoutConfig>> layouts;
-  for (const mesh::LayoutKind kind :
-       {mesh::LayoutKind::AoS, mesh::LayoutKind::SoA,
-        mesh::LayoutKind::AoSoA}) {
-    const std::string name(mesh::layout_name(kind));
-    if (kind != mesh::LayoutKind::AoS && !only.empty() && name != only)
-      continue;
-    mesh::LayoutConfig lc;
-    lc.kind = kind;
-    lc.aosoa_block = aosoa_block;
-    layouts.emplace_back(name, lc);
-  }
 
   const std::pair<const char*, mesh::ReorderKind> orders[] = {
       {"scrambled", mesh::ReorderKind::None},
@@ -751,9 +734,12 @@ SimdResult bench_simd(const std::string& only, int aosoa_block) {
     SimdOrder order;
     order.name = oname;
     order.kind = okind;
-    for (const auto& [lname, lc] : layouts) {
+    for (const mesh::LayoutKind kind :
+         {mesh::LayoutKind::AoS, mesh::LayoutKind::SoA}) {
+      mesh::LayoutConfig lc;
+      lc.kind = kind;
       SimdLayout lay;
-      lay.name = lname;
+      lay.name = mesh::layout_name(kind);
       for (const int threads : {1, 4})
         lay.widths.push_back(bench_simd_case(scrambled, okind, lc, threads));
       order.layouts.push_back(std::move(lay));
@@ -774,15 +760,13 @@ SimdResult bench_simd(const std::string& only, int aosoa_block) {
   return r;
 }
 
-void write_simd_json(const char* path, const std::string& only,
-                     int aosoa_block) {
-  const SimdResult r = bench_simd(only, aosoa_block);
+void write_simd_json(const char* path) {
+  const SimdResult r = bench_simd();
   std::ofstream os(path);
   os.precision(5);
   os << "{\n"
      << "  \"mesh\": {\"nodes\": " << r.nodes << ", \"edges\": " << r.edges
-     << ", \"dim\": " << kSimdDim << ", \"aosoa_block\": " << r.aosoa_block
-     << "},\n"
+     << ", \"dim\": " << kSimdDim << "},\n"
      << "  \"orders\": [\n";
   for (std::size_t i = 0; i < r.orders.size(); ++i) {
     const SimdOrder& o = r.orders[i];
@@ -805,7 +789,7 @@ void write_simd_json(const char* path, const std::string& only,
   os << "  ],\n"
      << "  \"best_speedup\": " << r.best_speedup << "\n"
      << "}\n";
-  std::printf("simd: best non-AoS direct speedup %.2fx over AoS (rcm) "
+  std::printf("simd: best SoA direct speedup %.2fx over AoS (rcm) "
               "-> %s\n",
               r.best_speedup, path);
   for (const SimdOrder& o : r.orders) {
@@ -1016,39 +1000,34 @@ void write_hotpath_json(const char* path) {
 }
 
 // ---------------------------------------------------------------------
-// Transport A/B harness (BENCH_transport.json): ad-hoc striped sends vs
-// persistent channels at 1/2/4 rails, small (latency-bound) and large
-// (bandwidth-bound) messages. Two numbers per case:
-//   wall_us  — measured protocol overhead over the in-process fabric
-//              (header framing, reassembly, channel bookkeeping); the
-//              sim fabric has one physical memory bus, so wall time
-//              CANNOT show a rail win and is recorded for honesty only.
+// Transport A/B harness (BENCH_transport.json): ad-hoc sends vs
+// persistent channels, small (latency-bound) and large (bandwidth-bound)
+// messages. Two numbers per case:
+//   wall_us  — measured receive time per message over the in-process
+//              fabric (matching, channel bookkeeping, payload moves).
 //   model_us — the receiver's virtual clock, charged by the tiered cost
-//              model (striped_time / channel_time) on an archer2-like
-//              4-rail network. This is what the summary gates read:
-//              striping buys ~rails x on the bandwidth term of a large
-//              message, and a persistent channel drops the per-message
-//              host overhead to the channel overhead.
+//              model (message_time / channel_time) on an archer2-like
+//              network. The gated summary reads it: a persistent channel
+//              drops the per-message host overhead to the channel
+//              overhead.
 // ---------------------------------------------------------------------
 
 /// BENCH_calibration.json path from --calibration=; empty = use the
-/// bench4rail guesses below.
+/// archer2-flavoured guesses below.
 std::string g_calibration_path;  // NOLINT
 
-/// Archer2-flavoured network with 4 rails for the A/B sweep. The
-/// per-message host overhead is the quantity persistent channels
-/// amortise; keep it and the channel overhead at the preset's values.
-/// With --calibration=, the measured per-tier wire parameters replace
-/// these guesses (host overheads stay: the wire sweeps do not measure
-/// them).
+/// Archer2-flavoured network for the A/B sweep. The per-message host
+/// overhead is the quantity persistent channels amortise; keep it and the
+/// channel overhead at the preset's values. With --calibration=, the
+/// measured per-tier wire parameters replace these guesses (host
+/// overheads stay: the wire sweeps do not measure them).
 sim::CostModel transport_bench_model() {
   sim::CostModel cm;
-  cm.name = "bench4rail";
+  cm.name = "bench-net";
   cm.latency_s = 2.0e-6;
   cm.bandwidth_Bps = 12.5e9;
   cm.per_message_overhead_s = 4.0e-6;
   cm.channel_overhead_s = 1.0e-6;
-  cm.net_rails = 4;
   if (!g_calibration_path.empty())
     sim::apply_calibration(sim::load_calibration(g_calibration_path), &cm);
   return cm;
@@ -1056,7 +1035,6 @@ sim::CostModel transport_bench_model() {
 
 struct TransportCase {
   const char* mode = "";  ///< "adhoc" | "persistent".
-  int rails = 1;
   std::size_t bytes = 0;
   double wall_us = 0;
   double model_us = 0;
@@ -1064,18 +1042,15 @@ struct TransportCase {
 
 /// One sender thread streams `iters` messages to one receiver; the
 /// receiver's wall time and virtual clock make the case's two numbers.
-TransportCase bench_transport_case(bool persistent, int rails,
-                                   std::size_t bytes, int iters) {
+TransportCase bench_transport_case(bool persistent, std::size_t bytes,
+                                   int iters) {
   const sim::CostModel cm = transport_bench_model();
   sim::Transport t(2);
   sim::TransportConfig tc;
-  tc.rails = rails;
-  tc.stripe_min_bytes = 64 * 1024;
   tc.persistent = persistent;
 
   TransportCase r;
   r.mode = persistent ? "persistent" : "adhoc";
-  r.rails = rails;
   r.bytes = bytes;
 
   std::thread sender([&] {
@@ -1088,9 +1063,9 @@ TransportCase bench_transport_case(bool persistent, int rails,
     const op2ca::ByteBuf payload(bytes, std::byte{7});
     for (int i = 0; i < iters; ++i) {
       op2ca::ByteBuf buf = payload;  // staging copy, as the executors do.
-      sim::Request req =
-          persistent ? c.channel_isend(chans[0], std::move(buf))
-                     : c.stripe_isend(1, 5, std::move(buf));
+      sim::Request req = persistent
+                             ? c.channel_isend(chans[0], std::move(buf))
+                             : c.isend(1, 5, std::move(buf));
       c.wait(req);
     }
   });
@@ -1104,9 +1079,8 @@ TransportCase bench_transport_case(bool persistent, int rails,
     WallTimer timer;
     for (int i = 0; i < iters; ++i) {
       op2ca::ByteBuf out;
-      sim::Request req = persistent
-                             ? c.channel_irecv(chans[0], &out)
-                             : c.stripe_irecv(0, 5, &out, bytes);
+      sim::Request req = persistent ? c.channel_irecv(chans[0], &out)
+                                    : c.irecv(0, 5, &out);
       c.wait(req);
     }
     r.wall_us = timer.elapsed() / iters * 1e6;
@@ -1117,56 +1091,37 @@ TransportCase bench_transport_case(bool persistent, int rails,
 }
 
 void write_transport_json(const char* path) {
-  constexpr std::size_t kSmall = 16 * 1024;        // below the threshold.
-  constexpr std::size_t kLarge = 4 * 1024 * 1024;  // stripes.
+  constexpr std::size_t kSmall = 16 * 1024;
+  constexpr std::size_t kLarge = 4 * 1024 * 1024;
   std::vector<TransportCase> cases;
   for (const bool persistent : {false, true})
-    for (const int rails : {1, 2, 4})
-      for (const std::size_t bytes : {kSmall, kLarge})
-        cases.push_back(bench_transport_case(
-            persistent, rails, bytes, bytes == kSmall ? 400 : 50));
-
-  const auto find = [&](const char* mode, int rails,
-                        std::size_t bytes) -> const TransportCase& {
-    for (const TransportCase& c : cases)
-      if (std::string(c.mode) == mode && c.rails == rails &&
-          c.bytes == bytes)
-        return c;
-    raise("transport bench case missing");
-  };
-  // The two gated summary numbers, both from the modelled times: what
-  // 4-rail striping buys on a bandwidth-bound message, and what a
-  // persistent channel buys on a latency-bound one.
-  const double striping_speedup_large =
-      find("adhoc", 1, kLarge).model_us / find("adhoc", 4, kLarge).model_us;
-  const double persistent_speedup =
-      find("adhoc", 4, kSmall).model_us /
-      find("persistent", 4, kSmall).model_us;
+    for (const std::size_t bytes : {kSmall, kLarge})
+      cases.push_back(bench_transport_case(persistent, bytes,
+                                           bytes == kSmall ? 400 : 50));
+  // cases[0..3] = adhoc small, adhoc large, persistent small, large.
+  const double persistent_speedup = cases[0].model_us / cases[2].model_us;
   const double persistent_speedup_large =
-      find("adhoc", 4, kLarge).model_us /
-      find("persistent", 4, kLarge).model_us;
+      cases[1].model_us / cases[3].model_us;
 
   std::ofstream os(path);
   os.precision(5);
-  os << "{\n  \"model\": \"bench4rail (archer2-flavoured, 4 rails)\",\n"
+  os << "{\n  \"model\": \"bench-net (archer2-flavoured)\",\n"
      << "  \"cases\": [\n";
   for (std::size_t i = 0; i < cases.size(); ++i) {
     const TransportCase& c = cases[i];
-    os << "    {\"mode\": \"" << c.mode << "\", \"rails\": " << c.rails
-       << ", \"bytes\": " << c.bytes << ", \"wall_us\": " << c.wall_us
-       << ", \"model_us\": " << c.model_us << "}"
-       << (i + 1 < cases.size() ? "," : "") << "\n";
+    os << "    {\"mode\": \"" << c.mode << "\", \"bytes\": " << c.bytes
+       << ", \"wall_us\": " << c.wall_us << ", \"model_us\": " << c.model_us
+       << "}" << (i + 1 < cases.size() ? "," : "") << "\n";
   }
   os << "  ],\n"
-     << "  \"striping_speedup_large\": " << striping_speedup_large << ",\n"
      << "  \"persistent_speedup\": " << persistent_speedup << ",\n"
      << "  \"persistent_speedup_large\": " << persistent_speedup_large
      << "\n}\n";
   std::printf(
-      "transport: 4-rail striping %.2fx on %zu KiB (model), persistent "
-      "channels %.2fx small / %.2fx large vs ad-hoc -> %s\n",
-      striping_speedup_large, kLarge / 1024, persistent_speedup,
-      persistent_speedup_large, path);
+      "transport: persistent channels %.2fx small / %.2fx large vs "
+      "ad-hoc (model); wall %.0f vs %.0f us at %zu KiB -> %s\n",
+      persistent_speedup, persistent_speedup_large, cases[1].wall_us,
+      cases[3].wall_us, kLarge / 1024, path);
 }
 
 // ---------------------------------------------------------------------
@@ -1539,20 +1494,12 @@ void write_tiling_json(const char* path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Pull our layout flags out of argv before google-benchmark sees them
-  // (it rejects unrecognized arguments).
-  std::string layout_only;  // empty = run every layout in the A/B.
-  int aosoa_block = 8;
+  // Pull our own flags out of argv before google-benchmark sees them (it
+  // rejects unrecognized arguments).
   int keep = 1;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--layout=", 0) == 0) {
-      layout_only = arg.substr(9);
-      if (layout_only == "aos") layout_only.clear();  // baseline always runs
-      else mesh::layout_by_name(layout_only);         // validate the name
-    } else if (arg.rfind("--aosoa-block=", 0) == 0) {
-      aosoa_block = std::atoi(arg.c_str() + 14);
-    } else if (arg.rfind("--calibration=", 0) == 0) {
+    if (arg.rfind("--calibration=", 0) == 0) {
       g_calibration_path = arg.substr(14);
       sim::load_calibration(g_calibration_path);  // validate early
     } else {
@@ -1566,7 +1513,7 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
   write_hotpath_json("BENCH_hotpath.json");
   write_locality_json("BENCH_locality.json");
-  write_simd_json("BENCH_simd.json", layout_only, aosoa_block);
+  write_simd_json("BENCH_simd.json");
   write_transport_json("BENCH_transport.json");
   write_gpu_json("BENCH_gpu.json");
   write_tiling_json("BENCH_tiling.json");

@@ -9,7 +9,7 @@
 // depends on the dat's storage layout (WorldConfig::layout), while
 // plain `double*` still binds for direct calls in tests and benches.
 // Bodies index components with arg[k] only, so the same arithmetic runs
-// unchanged over AoS rows, SoA planes and AoSoA blocks.
+// unchanged over AoS rows and SoA planes.
 #pragma once
 
 #include <cmath>

@@ -1,6 +1,5 @@
 #include "op2ca/comm/channel.hpp"
 
-#include <algorithm>
 #include <cstring>
 
 #include "op2ca/util/error.hpp"
@@ -24,69 +23,13 @@ T get(const std::byte** p) {
 
 }  // namespace
 
-std::vector<StripeSlot> stripe_bounds(std::size_t bytes, int rails) {
-  std::vector<StripeSlot> slots;
-  if (rails <= 1 || bytes == 0) {
-    slots.push_back({0, bytes});
-    return slots;
-  }
-  // 8-byte aligned boundaries: dat payloads are doubles, and aligned
-  // stripe starts keep receiver-side memcpy on word boundaries.
-  const std::size_t words = (bytes + 7) / 8;
-  const std::size_t n =
-      std::min<std::size_t>(static_cast<std::size_t>(rails), words);
-  const std::size_t per = words / n;
-  const std::size_t extra = words % n;
-  std::size_t off = 0;
-  for (std::size_t r = 0; r < n; ++r) {
-    const std::size_t w = per + (r < extra ? 1 : 0);
-    const std::size_t len = std::min(bytes - off, w * 8);
-    slots.push_back({off, len});
-    off += len;
-  }
-  OP2CA_ASSERT(off == bytes, "stripe_bounds did not cover the message");
-  return slots;
-}
-
-void encode_stripe_header(const StripeHeader& h, std::byte* out) {
-  std::byte* p = out;
-  put(&p, h.magic);
-  put(&p, h.rail);
-  put(&p, h.rails);
-  put(&p, h.total);
-  put(&p, h.offset);
-  put(&p, h.plan_hash);
-  OP2CA_ASSERT(static_cast<std::size_t>(p - out) == kStripeHeaderBytes,
-               "stripe header encode size mismatch");
-}
-
-StripeHeader decode_stripe_header(const std::byte* in,
-                                  std::size_t payload_bytes) {
-  OP2CA_REQUIRE(payload_bytes >= kStripeHeaderBytes,
-                "striped message shorter than its header — truncated "
-                "stripe on the wire");
-  const std::byte* p = in;
-  StripeHeader h;
-  h.magic = get<std::uint32_t>(&p);
-  h.rail = get<std::uint16_t>(&p);
-  h.rails = get<std::uint16_t>(&p);
-  h.total = get<std::uint64_t>(&p);
-  h.offset = get<std::uint64_t>(&p);
-  h.plan_hash = get<std::uint64_t>(&p);
-  OP2CA_REQUIRE(h.magic == kStripeMagic,
-                "striped message carries a corrupt header (bad magic)");
-  return h;
-}
-
 void encode_hello(const ChannelHello& h, std::byte* out) {
   std::byte* p = out;
   put(&p, h.magic);
   put(&p, h.id);
   put(&p, h.bytes);
-  put(&p, h.rails);
   // Pad to keep the hello a fixed 32-byte block.
-  put(&p, std::uint16_t{0});
-  put(&p, std::uint32_t{0});
+  put(&p, std::uint64_t{0});
   put(&p, h.plan_hash);
   OP2CA_ASSERT(static_cast<std::size_t>(p - out) == kHelloBytes,
                "channel hello encode size mismatch");
@@ -100,9 +43,7 @@ ChannelHello decode_hello(const std::byte* in, std::size_t payload_bytes) {
   h.magic = get<std::uint32_t>(&p);
   h.id = get<std::int32_t>(&p);
   h.bytes = get<std::uint64_t>(&p);
-  h.rails = get<std::uint16_t>(&p);
-  get<std::uint16_t>(&p);
-  get<std::uint32_t>(&p);
+  get<std::uint64_t>(&p);
   h.plan_hash = get<std::uint64_t>(&p);
   OP2CA_REQUIRE(h.magic == kHelloMagic,
                 "channel negotiation message is corrupt (bad magic)");

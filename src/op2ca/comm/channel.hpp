@@ -1,74 +1,31 @@
-// Striping and persistent-channel protocol shared by every backend.
-//
-// Striping (CommBench's rail pattern): a message larger than the
-// configured threshold splits into up to `rails` sub-messages so the
-// hierarchy's parallel links (NICs) move it concurrently. Ad-hoc striped
-// sends prefix each stripe with a 32-byte StripeHeader carrying
-// (total, offset, rail, plan-hash), so the receiver reassembles rails
-// arriving in any order into one pooled staging buffer and rejects torn
-// or foreign stripes loudly.
-//
-// Persistent channels (a la MPI_Send_init): an exchange that is built
-// once per cached plan (GroupedPlan / LoopExchange, both keyed by the
-// structural hash that already invalidates them) pre-negotiates a
-// (peer, tag, size, rails, hash) slot with a ChannelHello handshake.
-// Steady-state epochs then post headerless stripes on the channel's
-// pre-assigned rail tags — no per-message envelope, no boundary math, no
-// receiver-side validation beyond the fixed slot sizes. A structural
-// mismatch between the two ends (stale channel) fails the handshake.
+// Persistent-channel protocol shared by every backend (a la
+// MPI_Send_init). An exchange that is built once per cached plan
+// (GroupedPlan / LoopExchange, both keyed by the structural hash that
+// already invalidates them) pre-negotiates a (peer, tag, size, hash) slot
+// with a ChannelHello handshake. Steady-state epochs then post the
+// payload headerless on the channel's pre-assigned tag — no per-message
+// envelope and no receiver-side validation beyond the fixed slot size. A
+// structural mismatch between the two ends (stale channel) fails the
+// handshake.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "op2ca/comm/transport.hpp"
 #include "op2ca/util/types.hpp"
 
 namespace op2ca::sim {
 
-/// Upper bound on the stripe fan-out; bounds the per-channel tag block.
-inline constexpr int kMaxRails = 8;
-
 /// Tag space: each ordered (src -> dst) pair numbers its channels 0, 1,
-/// ... and channel k owns tags [base + k*kMaxRails, base + (k+1)*kMaxRails).
-/// The base sits far above the executor tag ranges (chain tag 512, loop
-/// tags 1024 + dat*2 + class).
+/// ... and channel k owns tag base + k. The base sits far above the
+/// executor tag ranges (chain tag 512, loop tags 1024 + dat*2 + class).
 inline constexpr tag_t kChannelTagBase = 1 << 20;
 /// Control tags for the ChannelHello handshake: the sender side of a
 /// channel announces on kChannelHelloSend, the receiver side on
 /// kChannelHelloRecv, so the two opens pair up FIFO per (src, tag).
 inline constexpr tag_t kChannelHelloSend = kChannelTagBase - 2;
 inline constexpr tag_t kChannelHelloRecv = kChannelTagBase - 1;
-
-/// One stripe's (offset, length) within the logical message.
-struct StripeSlot {
-  std::size_t offset = 0;
-  std::size_t bytes = 0;
-};
-
-/// Splits `bytes` into at most `rails` contiguous stripes with 8-byte
-/// aligned boundaries (dat payloads are doubles). Every stripe is
-/// non-empty; small messages yield fewer stripes than rails, and
-/// rails <= 1 (or bytes == 0) yields the single degenerate stripe.
-std::vector<StripeSlot> stripe_bounds(std::size_t bytes, int rails);
-
-/// Wire header of one ad-hoc stripe (kStripeHeaderBytes on the wire).
-struct StripeHeader {
-  std::uint32_t magic = 0;     ///< kStripeMagic.
-  std::uint16_t rail = 0;      ///< stripe index.
-  std::uint16_t rails = 0;     ///< total stripes of this message.
-  std::uint64_t total = 0;     ///< logical message bytes.
-  std::uint64_t offset = 0;    ///< this stripe's offset.
-  std::uint64_t plan_hash = 0; ///< 0 for ad-hoc sends.
-};
-
-inline constexpr std::uint32_t kStripeMagic = 0x4f503253;  // "OP2S"
-inline constexpr std::size_t kStripeHeaderBytes = 32;
-
-void encode_stripe_header(const StripeHeader& h, std::byte* out);
-StripeHeader decode_stripe_header(const std::byte* in,
-                                  std::size_t payload_bytes);
 
 /// A negotiated persistent channel: one direction of one peer's slot.
 /// Invalid (id < 0) until Comm::open_channels fills it in.
@@ -78,13 +35,9 @@ struct Channel {
   std::int32_t id = -1;        ///< per ordered (src -> dst) pair.
   std::size_t bytes = 0;       ///< fixed slot size.
   std::uint64_t plan_hash = 0;
-  std::vector<StripeSlot> slots;  ///< precomputed stripe boundaries.
 
   bool valid() const { return id >= 0; }
-  int rails() const { return static_cast<int>(slots.size()); }
-  tag_t rail_tag(int r) const {
-    return kChannelTagBase + id * kMaxRails + r;
-  }
+  tag_t tag() const { return kChannelTagBase + id; }
 };
 
 /// What one side requests from open_channels.
@@ -100,7 +53,6 @@ struct ChannelHello {
   std::uint32_t magic = 0;
   std::int32_t id = -1;
   std::uint64_t bytes = 0;
-  std::uint16_t rails = 0;
   std::uint64_t plan_hash = 0;
 };
 

@@ -4,16 +4,10 @@
 // in Alg 1 / Alg 2 of the paper (MPI_Isend, MPI_Irecv, MPI_Wait,
 // MPI_Send_init-style persistent channels).
 //
-// On top of the plain point-to-point API, Comm implements the
-// topology-aware transport layer:
-//  - stripe_isend/stripe_irecv split messages >= stripe_min_bytes into up
-//    to `rails` sub-messages (channel.hpp wire format) and reassemble
-//    them out-of-order into one pooled buffer on the receiver;
-//  - open_channels pre-negotiates fixed (peer, tag, size) slots once per
-//    cached exchange plan; channel_isend/channel_irecv then move
-//    headerless stripes through those slots each epoch.
-// With rails == 1 and persistent channels off, every call degenerates to
-// the legacy single-message path, bitwise-identical to earlier builds.
+// On top of the plain point-to-point API, Comm implements persistent
+// channels: open_channels pre-negotiates fixed (peer, tag, size) slots
+// once per cached exchange plan; channel_isend/channel_irecv then move
+// headerless payloads through those slots each epoch.
 #pragma once
 
 #include <cstddef>
@@ -26,7 +20,6 @@
 #include "op2ca/comm/channel.hpp"
 #include "op2ca/comm/cost_model.hpp"
 #include "op2ca/comm/transport.hpp"
-#include "op2ca/util/buffer_pool.hpp"
 #include "op2ca/util/timer.hpp"
 #include "op2ca/util/types.hpp"
 
@@ -46,8 +39,6 @@ struct CommStats {
   /// Wire messages sent per machine tier (indexed by Tier).
   std::int64_t msgs_by_tier[kNumTiers] = {0, 0, 0};
   std::int64_t bytes_by_tier[kNumTiers] = {0, 0, 0};
-  /// Stripe sub-messages sent (each also counts in msgs_sent).
-  std::int64_t stripes_sent = 0;
   /// Persistent channels negotiated / messages sent through them.
   std::int64_t channels_opened = 0;
   std::int64_t channel_sends = 0;
@@ -61,7 +52,6 @@ struct CommStats {
   std::int64_t epoch_max_msg_bytes = 0;
   std::int64_t epoch_msgs_by_tier[kNumTiers] = {0, 0, 0};
   std::int64_t epoch_bytes_by_tier[kNumTiers] = {0, 0, 0};
-  std::int64_t epoch_stripes = 0;
   std::set<rank_t> epoch_neighbors;
 
   void reset_epoch();
@@ -76,20 +66,18 @@ public:
 
 private:
   friend class Comm;
-  enum class Kind { None, Send, Recv, StripedRecv, ChannelRecv };
+  enum class Kind { None, Send, Recv, ChannelRecv };
   Kind kind_ = Kind::None;
   rank_t peer = -1;
   tag_t tag = 0;
   ByteBuf* recv_buffer = nullptr;      // receive kinds only.
-  std::size_t sent_bytes = 0;          // Send only.
-  std::size_t expect_bytes = 0;        // StripedRecv only.
   const Channel* channel = nullptr;    // ChannelRecv only.
 };
 
 /// One simulated process's communication endpoint.
 ///
 /// A Comm belongs to exactly one rank thread, with one exception: isend /
-/// stripe_isend / channel_isend are safe to call concurrently from that
+/// channel_isend are safe to call concurrently from that
 /// rank's pool workers (taskgraph mode posts pack isends from whichever
 /// worker runs the pack task). Sends serialise per DESTINATION — one
 /// mutex per peer — so concurrent pack tasks aimed at different
@@ -116,16 +104,6 @@ public:
   /// Begins a non-blocking receive into `*out` (resized on completion).
   Request irecv(rank_t src, tag_t tag, ByteBuf* out);
 
-  /// isend that stripes payloads >= stripe_min_bytes across the
-  /// configured rails (header-framed sub-messages on the caller's tag).
-  /// Below the threshold, or with rails == 1, this IS isend.
-  Request stripe_isend(rank_t dst, tag_t tag, ByteBuf payload);
-  /// Matching receive: `expect_bytes` must equal the sender's payload
-  /// size (halo plans know both sides), so both ends derive the same
-  /// stripe/no-stripe decision and stripe boundaries.
-  Request stripe_irecv(rank_t src, tag_t tag, ByteBuf* out,
-                       std::size_t expect_bytes);
-
   /// Negotiates persistent channels for all `specs` with the peers
   /// (two-phase: announce everything, then confirm everything — safe for
   /// any SPMD-symmetric open order, no cross-rank deadlock). A geometry
@@ -133,7 +111,7 @@ public:
   /// Rank-thread-only; called once per cached exchange plan.
   std::vector<Channel> open_channels(std::span<const ChannelSpec> specs);
   /// Posts `payload` (exactly ch.bytes) through a negotiated channel:
-  /// headerless stripes on the channel's pre-assigned rail tags.
+  /// moved zero-copy and headerless onto the channel's pre-assigned tag.
   Request channel_isend(const Channel& ch, ByteBuf payload);
   /// Matching receive through the peer's slot.
   Request channel_irecv(const Channel& ch, ByteBuf* out);
@@ -170,12 +148,6 @@ public:
   const CostModel* cost_model() const { return cost_; }
   const TransportConfig& transport_config() const { return tcfg_; }
 
-  /// True when `bytes` would stripe under the current config. Receivers
-  /// and senders must agree, so the rule is a pure function of size.
-  bool should_stripe(std::size_t bytes) const {
-    return tcfg_.rails > 1 && bytes >= tcfg_.stripe_min_bytes;
-  }
-
 private:
   friend class Collectives;
   Request post_send(rank_t dst, tag_t tag, Message msg);
@@ -188,14 +160,11 @@ private:
   void charge(double seconds) {
     if (cost_ != nullptr) clock_.advance(seconds);
   }
-  ByteBuf take_stripe_buf(std::size_t bytes);
-  void release_stripe_buf(ByteBuf buf);
-  /// match_for with the configured reassembly deadline; raises `what`
+  /// match_for with the configured receive deadline; raises `what`
   /// context on timeout instead of returning false.
   Message match_or_raise(rank_t src, tag_t tag, const char* what);
 
   void complete_recv(Request& req);
-  void complete_striped_recv(Request& req);
   void complete_channel_recv(Request& req);
 
   TransportBackend* transport_;
@@ -208,11 +177,6 @@ private:
   /// Per-destination send serialisation (see class doc).
   std::unique_ptr<std::mutex[]> dest_mu_;
   std::mutex stats_mu_;
-
-  /// Staging for stripe assembly/disassembly, recycled across epochs.
-  /// Guarded: pack workers striping concurrently share it.
-  std::mutex stripe_mu_;
-  BufferPool stripe_pool_;
 
   /// Next channel id per ordered pair: index by peer, split by direction.
   std::vector<std::int32_t> next_send_channel_;

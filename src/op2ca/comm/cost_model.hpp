@@ -15,9 +15,11 @@
 // bandwidth, rail-count) parameters. The legacy flat fields (latency_s /
 // bandwidth_Bps) ARE the network tier, so existing presets and tests see
 // identical numbers; the topology stays flat (every pair is Tier::Net)
-// until ranks_per_node is set. Rails model parallel physical links
-// (NICs, memory channels): a message striped into r sub-messages uses
-// min(r, rails) links concurrently — CommBench's rail pattern.
+// until ranks_per_node is set. Rails count parallel physical links
+// (NICs, memory channels). They are a model parameter only: the
+// analytic model (model/machine.hpp) widens the wire bandwidth of large
+// messages by the rail count, while the runtime sends each exchange as
+// one message per neighbour.
 #pragma once
 
 #include <algorithm>
@@ -43,6 +45,10 @@ inline const char* tier_name(Tier t) {
 
 struct Calibration;
 struct CostModel;
+
+/// Upper bound on a tier's rail count: bench_calibrate clamps its measured
+/// estimate to it and the benches' --rails flag is checked against it.
+inline constexpr int kMaxRails = 8;
 
 /// Per-tier wire parameters: latency, per-rail bandwidth, rail count.
 struct TierParams {
@@ -100,7 +106,7 @@ struct CostModel {
   /// channel: the dst/tag/size slot is pre-negotiated, so matching and
   /// envelope setup (per_message_overhead_s) collapse to this.
   double channel_overhead_s = 0;
-  /// Parallel network rails (NICs) one rank may stripe a message across.
+  /// Parallel network rails (NICs) per rank; read by the analytic model.
   int net_rails = 1;
 
   // Topology: ranks [k*ranks_per_numa, ...) share a NUMA domain, ranks
@@ -136,14 +142,6 @@ struct CostModel {
       default: return bandwidth_Bps;
     }
   }
-  int tier_rails(Tier t) const {
-    switch (t) {
-      case Tier::Numa: return numa.rails;
-      case Tier::Node: return node.rails;
-      default: return net_rails;
-    }
-  }
-
   /// Time to move one `bytes`-sized message to a neighbour (flat legacy
   /// form: the network tier).
   double message_time(std::int64_t bytes) const {
@@ -157,25 +155,10 @@ struct CostModel {
            static_cast<double>(bytes) / tier_bandwidth(t);
   }
 
-  /// A `bytes`-sized message striped into `stripes` sub-messages over
-  /// the tier's rails. min(stripes, rails) sub-messages travel
-  /// concurrently, each on its own link; extra stripes serialise their
-  /// bytes behind them (striping onto one rail buys nothing).
-  double striped_time(std::int64_t bytes, int stripes, Tier t) const {
-    if (stripes <= 1) return message_time(bytes, t);
-    const int conc = std::min(std::max(stripes, 1), tier_rails(t));
-    const double rounds =
-        static_cast<double>(stripes) / static_cast<double>(conc);
-    const double per_stripe =
-        static_cast<double>(bytes) / static_cast<double>(stripes);
-    return tier_latency(t) + per_message_overhead_s +
-           rounds * per_stripe / tier_bandwidth(t);
-  }
-
-  /// striped_time through a persistent channel: the pre-negotiated slot
+  /// message_time through a persistent channel: the pre-negotiated slot
   /// replaces the per-message host setup with channel_overhead_s.
-  double channel_time(std::int64_t bytes, int stripes, Tier t) const {
-    return striped_time(bytes, stripes, t) - per_message_overhead_s +
+  double channel_time(std::int64_t bytes, Tier t) const {
+    return message_time(bytes, t) - per_message_overhead_s +
            channel_overhead_s;
   }
 

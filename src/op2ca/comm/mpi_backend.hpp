@@ -8,11 +8,11 @@
 // exactly ONE rank (nranks must equal the communicator size); World
 // detects this through local_rank() and runs only that rank's thread, so
 // the same SPMD binaries launch under mpirun on a real cluster. Internal
-// tags (negative collectives, channel tag block) shift by kMpiTagShift
-// into MPI's non-negative tag space.
+// tags (negative collectives, channel tags) shift by kMpiTagShift into
+// MPI's non-negative tag space.
 //
 // Without MPI this is a compile-only stub: the identical protocol layer
-// (tag encoding, channel negotiation, striping, reassembly) runs over an
+// (tag encoding, channel negotiation) runs over an
 // in-process mailbox fabric, so the MPI code path's framing is exercised
 // by the regular test suite — the equivalence suite runs sim-vs-MPI-stub
 // rows — and the build stays green on MPI-less hosts and CI legs.

@@ -3,7 +3,6 @@
 #include <chrono>
 #include <thread>
 
-#include "op2ca/comm/channel.hpp"
 #include "op2ca/comm/mpi_backend.hpp"
 #include "op2ca/util/error.hpp"
 
@@ -21,11 +20,8 @@ BackendKind backend_by_name(const std::string& name) {
 
 std::unique_ptr<TransportBackend> make_backend(const TransportConfig& cfg,
                                                int nranks) {
-  OP2CA_REQUIRE(cfg.rails >= 1 && cfg.rails <= kMaxRails,
-                "TransportConfig::rails must be in [1, " +
-                    std::to_string(kMaxRails) + "]");
-  OP2CA_REQUIRE(cfg.stripe_timeout_s > 0,
-                "TransportConfig::stripe_timeout_s must be positive");
+  OP2CA_REQUIRE(cfg.channel_timeout_s > 0,
+                "TransportConfig::channel_timeout_s must be positive");
   if (cfg.backend == BackendKind::Mpi)
     return std::make_unique<MpiBackend>(nranks);
   return std::make_unique<Transport>(nranks);
@@ -68,7 +64,7 @@ void Transport::post(Message msg) {
                 "Transport::post destination out of range");
   OP2CA_REQUIRE(msg.src >= 0 && msg.src < nranks_,
                 "Transport::post source out of range");
-  if (!apply_injections(&msg)) return;  // dropped rail
+  if (!apply_injections(&msg)) return;  // dropped message
   Mailbox& box = boxes_[static_cast<std::size_t>(msg.dst)];
   {
     std::lock_guard<std::mutex> lock(box.mu);

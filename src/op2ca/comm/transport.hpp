@@ -1,7 +1,7 @@
 // Pluggable message transport behind the per-rank Comm endpoints.
 //
 // TransportBackend is the contract every exchange path (per-loop, grouped
-// chain, collectives, striped and persistent-channel sends) talks to:
+// chain, collectives and persistent-channel sends) talks to:
 // point-to-point tagged messages with non-overtaking order per (src, dst,
 // tag), blocking/timed/non-blocking matching, a barrier, and poison for
 // failure unwinding. Two implementations exist:
@@ -19,11 +19,10 @@
 //  - sim::MpiBackend (mpi_backend.hpp): the same contract over real MPI
 //    when built with -DOP2CA_MPI=ON and an MPI toolchain; a compile-only
 //    stub that routes the identical protocol layer (tag encoding,
-//    channel negotiation, striping) over an in-process fabric when MPI
-//    is absent.
+//    channel negotiation) over an in-process fabric when MPI is absent.
 //
 // make_backend() picks the implementation from a TransportConfig, which
-// also carries the striping/persistent-channel knobs consumed by Comm.
+// also carries the persistent-channel knobs consumed by Comm.
 #pragma once
 
 #include <atomic>
@@ -61,26 +60,18 @@ const char* backend_name(BackendKind k);
 BackendKind backend_by_name(const std::string& name);
 
 /// Transport configuration carried by WorldConfig: backend selection plus
-/// the striping / persistent-channel knobs Comm consumes. The defaults
-/// (sim backend, 1 rail, non-persistent) keep every exchange on the
-/// legacy single-isend path, bitwise-identical to earlier builds.
+/// the persistent-channel knobs Comm consumes. The defaults (sim backend,
+/// non-persistent) keep every exchange on the plain single-isend path.
 struct TransportConfig {
   BackendKind backend = BackendKind::Sim;
-  /// Stripe fan-out: messages >= stripe_min_bytes split into up to this
-  /// many rail sub-messages, reassembled out-of-order on the receiver.
-  /// 1 disables striping.
-  int rails = 1;
-  /// Messages below this never stripe (latency-bound traffic gains
-  /// nothing from extra envelopes).
-  std::size_t stripe_min_bytes = std::size_t{64} * 1024;
   /// Persistent channels: grouped/loop exchanges pre-negotiate
   /// (dst, tag, size) slots once per cached plan — a la MPI_Send_init —
-  /// and steady-state epochs post headerless stripes into them.
+  /// and steady-state epochs post headerless payloads into them.
   bool persistent = false;
-  /// Reassembly deadline: a striped or channel receive that cannot
-  /// complete within this raises instead of deadlocking (dropped rail,
-  /// peer failure). Seconds.
-  double stripe_timeout_s = 120.0;
+  /// Receive deadline: a channel receive or negotiation that cannot
+  /// complete within this raises instead of deadlocking (dropped
+  /// message, peer failure). Seconds.
+  double channel_timeout_s = 120.0;
 };
 
 /// Abstract transport fabric shared by `nranks` SPMD endpoints.
@@ -103,8 +94,8 @@ public:
                          Message* out) = 0;
 
   /// Blocking match with a deadline: false on timeout, throws when
-  /// poisoned. Striped reassembly uses this to fail loudly on a lost
-  /// rail instead of waiting forever.
+  /// poisoned. Channel receives use this to fail loudly on a lost
+  /// message instead of waiting forever.
   virtual bool match_for(rank_t dst, rank_t src, tag_t tag, Message* out,
                          double timeout_s) = 0;
 
@@ -121,7 +112,7 @@ public:
   virtual bool poisoned() const = 0;
 };
 
-/// Constructs the backend `cfg` selects (validating rails etc.). The Mpi
+/// Constructs the backend `cfg` selects (validating the deadline). The Mpi
 /// kind returns the real MPI backend when compiled in, the in-process
 /// stub otherwise.
 std::unique_ptr<TransportBackend> make_backend(const TransportConfig& cfg,
@@ -151,10 +142,10 @@ public:
 
   // ---- Fault / contention injection (test hooks). ---------------------
   /// Drops the next `count` posts matching (src, dst, tag) on the floor —
-  /// a dead rail. Reassembly must then fail loudly, never deliver torn.
+  /// a lost message. The receive must then fail loudly, never hang.
   void inject_drop(rank_t src, rank_t dst, tag_t tag, int count = 1);
   /// Truncates the next `count` matching posts to `keep_bytes` of
-  /// payload — a torn stripe the receiver must reject.
+  /// payload — a torn message the receiver must reject.
   void inject_truncate(rank_t src, rank_t dst, tag_t tag,
                        std::size_t keep_bytes, int count = 1);
   /// Delays every post TO `dst` by `seconds` inside the destination's

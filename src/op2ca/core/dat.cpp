@@ -40,8 +40,7 @@ RankState::RankState(World* w, sim::TransportBackend& transport, rank_t r)
     RankDat& rd = dats[static_cast<std::size_t>(d)];
     rd.dim = dd.dim;
     rd.layout = mesh::DatLayout::make(
-        lcfg.resolve(mesh.set(dd.set).name, dd.name), dd.dim, sl.total,
-        lcfg.aosoa_block);
+        lcfg.resolve(mesh.set(dd.set).name, dd.name), dd.dim, sl.total);
     rd.data.resize(rd.layout.alloc_doubles());
     halo::gather_local(dd.data, sl, rd.layout, rd.data.data());
     // Halos are gathered straight from the global arrays, so every layer
@@ -66,6 +65,41 @@ const halo::RankPlan& RankState::rank_plan() const {
 
 const halo::SetLayout& RankState::layout(mesh::set_id s) const {
   return rank_plan().sets[static_cast<std::size_t>(s)];
+}
+
+ByteBuf RankState::send_buffer(ByteBuf* spare, rank_t dst, sim::tag_t tag,
+                               std::size_t bytes) {
+  ByteBuf buf;
+  if (spare != nullptr) {
+    buf = std::move(*spare);
+  } else {
+    std::lock_guard<std::mutex> lock(returned_mu);
+    auto it = returned.find({dst, tag, bytes});
+    if (it != returned.end() && !it->second.empty()) {
+      buf = std::move(it->second.back());
+      it->second.pop_back();
+    }
+  }
+  if (buf.capacity() < bytes) return staging.take(bytes);
+  buf.resize(bytes);
+  return buf;
+}
+
+void RankState::return_to_sender(ByteBuf buf, rank_t src, sim::tag_t tag) {
+  RankState* sender = world->ranks_[static_cast<std::size_t>(src)].get();
+  if (sender == nullptr) {
+    staging.release(std::move(buf));
+    return;
+  }
+  std::lock_guard<std::mutex> lock(sender->returned_mu);
+  sender->returned[{rank, tag, buf.size()}].push_back(std::move(buf));
+}
+
+void RankState::provision_unpaired_send(rank_t dst, sim::tag_t tag,
+                                        std::size_t bytes) {
+  std::lock_guard<std::mutex> lock(returned_mu);
+  std::vector<ByteBuf>& list = returned[{dst, tag, bytes}];
+  for (int i = 0; i < 2; ++i) list.push_back(staging.take(bytes));
 }
 
 RankDat& RankState::rank_dat(mesh::dat_id d) {

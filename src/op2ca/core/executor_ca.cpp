@@ -89,6 +89,9 @@ ChainExchange& chain_exchange(RankState& st, ChainPlan& cp,
   }
   ex.plan = halo::build_grouped_plan(st.rank_plan(), ex.specs);
   ex.recv_bufs.resize(ex.plan.sides.size());
+  for (const halo::GroupedPlan::Side& side : ex.plan.sides)
+    if (side.send_bytes > 0 && side.recv_bytes == 0)
+      st.provision_unpaired_send(side.q, kChainTag, side.send_bytes);
 
   // Persistent channels (a la MPI_Send_init): negotiate one fixed
   // (peer, tag, size) slot per grouped side, keyed by the same structural
@@ -198,79 +201,50 @@ void execute_chain_ca_tiled(RankState& st, const std::string& name,
     for (std::size_t i = 0; i < ex->dats.size(); ++i)
       ex->specs[i].data = st.rank_dat(ex->dats[i]).data.data();
 
-    if (fold) {
-      // Taskgraph mode: each side's grouped pack becomes a graph task in
-      // the first loop's core epoch (the epoch drains before any later
-      // loop runs, so only the first loop's writers need gating). Staging
-      // buffers come off the rank thread; request slots are preallocated
-      // so workers fill them without racing; receives post here.
-      std::size_t nslots = 0;
-      for (const halo::GroupedPlan::Side& side : ex->plan.sides)
-        nslots += (side.send_bytes > 0) + (side.recv_bytes > 0);
-      ex->requests.assign(nslots, sim::Request{});
-      std::size_t slot = 0;
-      for (std::size_t s = 0; s < ex->plan.sides.size(); ++s) {
-        const halo::GroupedPlan::Side& side = ex->plan.sides[s];
-        if (side.send_bytes > 0) {
-          for (const LIdxVec& g : side.gather)
-            halo_elems += static_cast<std::int64_t>(g.size());
-          // Device-side grouped pack: metered on the rank thread even
-          // though the pack body may run on a worker.
-          if (dev != nullptr) dev->stage_out(side.send_bytes);
-          sim::Request* out = &ex->requests[slot++];
-          PackTask p;
+    // Taskgraph mode folds each side's grouped pack into the first
+    // loop's core epoch as a graph task (the epoch drains before any
+    // later loop runs, so only the first loop's writers need gating);
+    // otherwise it runs right here. Staging buffers come off the rank
+    // thread; request slots are preallocated so workers fill them without
+    // racing; receives post here. A folded pack runs inside a graph task,
+    // so it must not re-enter the pool: serial pack_grouped. Workers may
+    // post to different neighbours concurrently — Comm serialises per
+    // destination.
+    util::ThreadPool* pack_pool = fold ? nullptr : st.pool.get();
+    std::size_t nslots = 0;
+    for (const halo::GroupedPlan::Side& side : ex->plan.sides)
+      nslots += (side.send_bytes > 0) + (side.recv_bytes > 0);
+    ex->requests.assign(nslots, sim::Request{});
+    std::size_t slot = 0;
+    for (std::size_t s = 0; s < ex->plan.sides.size(); ++s) {
+      const halo::GroupedPlan::Side& side = ex->plan.sides[s];
+      if (side.send_bytes > 0) {
+        for (const LIdxVec& g : side.gather)
+          halo_elems += static_cast<std::int64_t>(g.size());
+        // Device-side grouped pack: metered here, on the rank thread.
+        if (dev != nullptr) dev->stage_out(side.send_bytes);
+        auto pack = [&st, ex, &side, s, pack_pool,
+                     out = &ex->requests[slot++],
+                     buf = st.send_buffer(
+                         side.recv_bytes > 0 ? &ex->recv_bufs[s] : nullptr,
+                         side.q, kChainTag, side.send_bytes)]() mutable {
+          halo::pack_grouped(side, ex->specs, buf.data(), pack_pool);
+          *out = post_send(st.comm, ex->send_channels, s, side.q, kChainTag,
+                           std::move(buf));
+        };
+        if (fold) {
+          PackTask p{std::move(pack), {}};
           for (std::size_t i = 0; i < ex->dats.size(); ++i)
             p.reads.push_back({ex->dats[i], &side.gather[i]});
-          // The pack runs inside a graph task, so it must not re-enter
-          // the pool: serial pack_grouped (nullptr pool). Workers may
-          // post to different neighbours concurrently — Comm serialises
-          // per destination.
-          p.body = [&st, ex, &side, s, out,
-                    buf = st.staging.take(side.send_bytes)]() mutable {
-            halo::pack_grouped(side, ex->specs, buf.data(), nullptr);
-            *out = !ex->send_channels.empty()
-                       ? st.comm.channel_isend(ex->send_channels[s],
-                                               std::move(buf))
-                       : st.comm.stripe_isend(side.q, kChainTag,
-                                              std::move(buf));
-          };
           packs.push_back(std::move(p));
+        } else {
+          pack();
         }
-        if (side.recv_bytes > 0)
-          ex->requests[slot++] =
-              !ex->recv_channels.empty()
-                  ? st.comm.channel_irecv(ex->recv_channels[s],
-                                          &ex->recv_bufs[s])
-                  : st.comm.stripe_irecv(side.q, kChainTag,
-                                         &ex->recv_bufs[s],
-                                         side.recv_bytes);
       }
-    } else {
-      ex->requests.clear();
-      for (std::size_t s = 0; s < ex->plan.sides.size(); ++s) {
-        const halo::GroupedPlan::Side& side = ex->plan.sides[s];
-        if (side.send_bytes > 0) {
-          ByteBuf buf = st.staging.take(side.send_bytes);
-          halo::pack_grouped(side, ex->specs, buf.data(), st.pool.get());
-          for (const LIdxVec& g : side.gather)
-            halo_elems += static_cast<std::int64_t>(g.size());
-          if (dev != nullptr) dev->stage_out(side.send_bytes);
-          ex->requests.push_back(
-              !ex->send_channels.empty()
-                  ? st.comm.channel_isend(ex->send_channels[s],
-                                          std::move(buf))
-                  : st.comm.stripe_isend(side.q, kChainTag,
-                                         std::move(buf)));
-        }
-        if (side.recv_bytes > 0)
-          ex->requests.push_back(
-              !ex->recv_channels.empty()
-                  ? st.comm.channel_irecv(ex->recv_channels[s],
-                                          &ex->recv_bufs[s])
-                  : st.comm.stripe_irecv(side.q, kChainTag,
-                                         &ex->recv_bufs[s],
-                                         side.recv_bytes));
-      }
+      if (side.recv_bytes > 0)
+        ex->requests[slot++] = post_recv(st.comm, ex->recv_channels, s,
+                                         side.q, kChainTag,
+                                         &ex->recv_bufs[s]);
     }
   }
 
@@ -301,7 +275,10 @@ void execute_chain_ca_tiled(RankState& st, const std::string& name,
       halo::unpack_grouped(ex->plan.sides[s], ex->specs, ex->recv_bufs[s],
                            st.pool.get());
       if (dev != nullptr) dev->stage_in(ex->plan.sides[s].recv_bytes);
-      st.staging.release(std::move(ex->recv_bufs[s]));
+      // A side that also sends keeps its payload for the next pack.
+      if (ex->plan.sides[s].send_bytes == 0)
+        st.return_to_sender(std::move(ex->recv_bufs[s]),
+                            ex->plan.sides[s].q, kChainTag);
     }
     for (std::size_t i = 0; i < ex->dats.size(); ++i) {
       RankDat& rd = st.rank_dat(ex->dats[i]);
@@ -386,7 +363,6 @@ void execute_chain_ca_tiled(RankState& st, const std::string& name,
       st.comm.stats().epoch_bytes_by_tier[static_cast<int>(sim::Tier::Node)];
   metrics.net_bytes =
       st.comm.stats().epoch_bytes_by_tier[static_cast<int>(sim::Tier::Net)];
-  metrics.stripes = st.comm.stats().epoch_stripes;
   if (dev != nullptr) {
     const gpu::DeviceStats& ds = dev->stats();
     metrics.h2d_bytes = ds.h2d_bytes - dev_before.h2d_bytes;

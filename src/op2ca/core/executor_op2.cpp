@@ -68,6 +68,17 @@ LoopExchange& loop_exchange(RankState& st, mesh::dat_id d,
   add(&slot->recvs, nl.imp_exec, tag_exec);
   add(&slot->recvs, nl.imp_nonexec, tag_nonexec);
   slot->recv_bufs.resize(slot->recvs.size());
+  slot->recv_kept.assign(slot->recvs.size(), false);
+  for (const LoopExchange::Segment& seg : slot->sends) {
+    std::int32_t spare = -1;
+    for (std::size_t i = 0; i < slot->recvs.size() && spare < 0; ++i)
+      if (slot->recvs[i].q == seg.q && !slot->recv_kept[i]) {
+        spare = static_cast<std::int32_t>(i);
+        slot->recv_kept[i] = true;
+      }
+    slot->send_spare.push_back(spare);
+    if (spare < 0) st.provision_unpaired_send(seg.q, seg.tag, seg.bytes);
+  }
 
   // Persistent channels: one slot per cached segment, keyed by the dat
   // (both ends derive the identical hash — the exchange is invalidated
@@ -139,77 +150,49 @@ LoopMetrics execute_loop_op2(RankState& st, const LoopRecord& rec) {
 
   std::int64_t halo_elems = 0;
   std::vector<PackTask> packs;
+  // Taskgraph mode folds each pack into the core epoch as a graph task
+  // that any worker may run; otherwise it runs right here. Either way the
+  // staging buffer comes off the rank thread and request slots are
+  // preallocated, so a pack writes its isend request without racing the
+  // vector. Receives stay on the rank thread.
   const bool fold = st.taskgraph && st.pool != nullptr;
-  if (fold) {
-    // Taskgraph mode: packing becomes graph tasks inside the core epoch.
-    // Buffers come out of the (not thread-safe) pool on the rank thread
-    // and move into the closures; request slots are preallocated so each
-    // pack writes its isend request without racing the vector. Receives
-    // stay on the rank thread (the transport buffers sends regardless).
-    std::size_t nslots = 0;
-    for (mesh::dat_id d : exch) {
-      LoopExchange& ex = loop_exchange(st, d, &plan_builds);
-      nslots += ex.sends.size() + ex.recvs.size();
-    }
-    requests.assign(nslots, sim::Request{});
-    std::size_t slot = 0;
-    for (mesh::dat_id d : exch) {
-      RankDat& rd = st.rank_dat(d);
-      LoopExchange& ex = *st.loop_exchanges[static_cast<std::size_t>(d)];
-      for (std::size_t si = 0; si < ex.sends.size(); ++si) {
-        const LoopExchange::Segment& seg = ex.sends[si];
-        halo_elems += static_cast<std::int64_t>(seg.idx->size());
-        // Device-side pack: export rows leave device memory for the
-        // transport staging (metered here on the rank thread; the pack
-        // body itself may run on any worker).
-        if (dev != nullptr) dev->stage_out(seg.bytes);
-        sim::Request* out = &requests[slot++];
-        PackTask p;
-        p.reads.push_back({d, seg.idx});
-        p.body = [&st, &rd, &ex, &seg, si, out,
-                  buf = st.staging.take(seg.bytes)]() mutable {
-          halo::gather_region(rd.data.data(), &rd.layout, rd.dim, *seg.idx,
-                              buf.data());
-          *out = !ex.send_channels.empty()
-                     ? st.comm.channel_isend(ex.send_channels[si],
-                                             std::move(buf))
-                     : st.comm.stripe_isend(seg.q, seg.tag, std::move(buf));
-        };
-        packs.push_back(std::move(p));
-      }
-      for (std::size_t i = 0; i < ex.recvs.size(); ++i)
-        requests[slot++] =
-            !ex.recv_channels.empty()
-                ? st.comm.channel_irecv(ex.recv_channels[i],
-                                        &ex.recv_bufs[i])
-                : st.comm.stripe_irecv(ex.recvs[i].q, ex.recvs[i].tag,
-                                       &ex.recv_bufs[i], ex.recvs[i].bytes);
-    }
-  } else {
-    for (mesh::dat_id d : exch) {
-      RankDat& rd = st.rank_dat(d);
-      LoopExchange& ex = loop_exchange(st, d, &plan_builds);
-      for (std::size_t si = 0; si < ex.sends.size(); ++si) {
-        const LoopExchange::Segment& seg = ex.sends[si];
-        ByteBuf buf = st.staging.take(seg.bytes);
+  std::size_t nslots = 0;
+  for (mesh::dat_id d : exch) {
+    const LoopExchange& ex = loop_exchange(st, d, &plan_builds);
+    nslots += ex.sends.size() + ex.recvs.size();
+  }
+  requests.assign(nslots, sim::Request{});
+  std::size_t slot = 0;
+  for (mesh::dat_id d : exch) {
+    RankDat& rd = st.rank_dat(d);
+    LoopExchange& ex = *st.loop_exchanges[static_cast<std::size_t>(d)];
+    for (std::size_t si = 0; si < ex.sends.size(); ++si) {
+      const LoopExchange::Segment& seg = ex.sends[si];
+      halo_elems += static_cast<std::int64_t>(seg.idx->size());
+      // Device-side pack: export rows leave device memory for the
+      // transport staging (metered here, on the rank thread).
+      if (dev != nullptr) dev->stage_out(seg.bytes);
+      const std::int32_t spare = ex.send_spare[si];
+      auto pack = [&st, &rd, &ex, &seg, si, out = &requests[slot++],
+                   buf = st.send_buffer(
+                       spare < 0 ? nullptr
+                                 : &ex.recv_bufs[static_cast<std::size_t>(
+                                       spare)],
+                       seg.q, seg.tag, seg.bytes)]() mutable {
         halo::gather_region(rd.data.data(), &rd.layout, rd.dim, *seg.idx,
                             buf.data());
-        halo_elems += static_cast<std::int64_t>(seg.idx->size());
-        if (dev != nullptr) dev->stage_out(seg.bytes);  // device-side pack
-        requests.push_back(
-            !ex.send_channels.empty()
-                ? st.comm.channel_isend(ex.send_channels[si],
-                                        std::move(buf))
-                : st.comm.stripe_isend(seg.q, seg.tag, std::move(buf)));
-      }
-      for (std::size_t i = 0; i < ex.recvs.size(); ++i)
-        requests.push_back(
-            !ex.recv_channels.empty()
-                ? st.comm.channel_irecv(ex.recv_channels[i],
-                                        &ex.recv_bufs[i])
-                : st.comm.stripe_irecv(ex.recvs[i].q, ex.recvs[i].tag,
-                                       &ex.recv_bufs[i], ex.recvs[i].bytes));
+        *out = post_send(st.comm, ex.send_channels, si, seg.q, seg.tag,
+                         std::move(buf));
+      };
+      if (fold)
+        packs.push_back({std::move(pack), {{d, seg.idx}}});
+      else
+        pack();
     }
+    for (std::size_t i = 0; i < ex.recvs.size(); ++i)
+      requests[slot++] = post_recv(st.comm, ex.recv_channels, i,
+                                   ex.recvs[i].q, ex.recvs[i].tag,
+                                   &ex.recv_bufs[i]);
   }
 
   const double t_pack = timer.elapsed();
@@ -238,7 +221,8 @@ LoopMetrics execute_loop_op2(RankState& st, const LoopRecord& rec) {
           rd.data.data(), &rd.layout, rd.dim, *seg.idx, buf, 0);
       OP2CA_ASSERT(used == buf.size(), "level-1 halo unpack short");
       if (dev != nullptr) dev->stage_in(seg.bytes);  // device-side unpack
-      st.staging.release(std::move(buf));
+      if (!ex.recv_kept[i])
+        st.return_to_sender(std::move(buf), seg.q, seg.tag);
     }
     rd.fresh_depth = std::max(rd.fresh_depth, 1);
   }
@@ -309,7 +293,6 @@ LoopMetrics execute_loop_op2(RankState& st, const LoopRecord& rec) {
       st.comm.stats().epoch_bytes_by_tier[static_cast<int>(sim::Tier::Node)];
   metrics.net_bytes =
       st.comm.stats().epoch_bytes_by_tier[static_cast<int>(sim::Tier::Net)];
-  metrics.stripes = st.comm.stats().epoch_stripes;
   if (dev != nullptr) {
     const gpu::DeviceStats& ds = dev->stats();
     metrics.h2d_bytes = ds.h2d_bytes - dev_before.h2d_bytes;

@@ -79,7 +79,6 @@ void LoopMetrics::merge_from(const LoopMetrics& other) {
   numa_bytes += other.numa_bytes;
   node_bytes += other.node_bytes;
   net_bytes += other.net_bytes;
-  stripes += other.stripes;
   h2d_bytes += other.h2d_bytes;
   d2h_bytes += other.d2h_bytes;
   device_transfers += other.device_transfers;
@@ -87,6 +86,12 @@ void LoopMetrics::merge_from(const LoopMetrics& other) {
   tile = std::max(tile, other.tile);  // largest fused epoch seen
   redundant_elems += other.redundant_elems;
   msgs_saved += other.msgs_saved;
+}
+
+void LoopMetrics::accumulate(const LoopMetrics& next) {
+  const std::int64_t rank_bytes = max_rank_bytes + next.max_rank_bytes;
+  merge_from(next);
+  max_rank_bytes = rank_bytes;  // one rank sends both shares
 }
 
 namespace detail {

@@ -116,19 +116,16 @@ struct LoopMetrics {
   double gather_span = 0;
   double reuse_gap = 0;
   // SIMD data plane: the widest layout any dat arg of the loop is stored
-  // in (0 = AoS, 1 = SoA, 2 = AoSoA; max over args and ranks) and the
+  // in (0 = AoS, 1 = SoA; max over args and ranks) and the
   // total halo elements exchanged, so bytes / halo_elems gives the wire
   // bytes moved per exchanged element for EXPERIMENTS.md correlations.
   int layout_code = 0;
   std::int64_t halo_elems = 0;
   // Transport hierarchy: wire bytes sent per machine tier (NUMA-local,
-  // node-local, cross-network — flat topologies put everything in net)
-  // and stripe sub-messages posted by the multi-rail striping layer
-  // (0 unless WorldConfig::transport.rails > 1 met the size threshold).
+  // node-local, cross-network — flat topologies put everything in net).
   std::int64_t numa_bytes = 0;
   std::int64_t node_bytes = 0;
   std::int64_t net_bytes = 0;
-  std::int64_t stripes = 0;
   // Device executor (WorldConfig::device): PCIe bytes the epoch moved in
   // each direction, metered transfers, and the modelled device-side
   // makespan under the configured transfer policy (FullyStaged
@@ -151,7 +148,11 @@ struct LoopMetrics {
   std::int64_t redundant_elems = 0;
   std::int64_t msgs_saved = 0;
 
+  /// Folds the same metric of another rank (cross-rank merge).
   void merge_from(const LoopMetrics& other);
+  /// Folds the next loop of one rank's sequence: merge_from, except that
+  /// max_rank_bytes sums — the same rank sends both loops' bytes.
+  void accumulate(const LoopMetrics& next);
 };
 
 class World;
@@ -176,8 +177,8 @@ struct ElemRef {
 };
 
 /// Per-argument iteration-time resolution data. The layout fields mirror
-/// mesh::DatLayout's shift/mask addressing; bind_layout keeps them
-/// coherent (the defaults describe an AoS dim-1 dat).
+/// mesh::DatLayout's stride pair; bind_layout keeps them coherent (the
+/// defaults describe an AoS dim-1 dat).
 struct ResolvedArg {
   double* base = nullptr;
   const lidx_t* map_targets = nullptr;  ///< null for direct / gbl.
@@ -186,20 +187,15 @@ struct ResolvedArg {
   int dim = 1;
   bool is_gbl = false;
   // Storage layout of the dat behind `base` (see mesh::DatLayout):
-  // element i starts at (i >> bshift) * brow + (i & bmask), component c
-  // adds c * cstride. AoS keeps bshift = bmask = 0 and brow = dim, so
-  // the address math collapses to the legacy i * dim + c.
-  int bshift = 0;
-  lidx_t bmask = 0;
+  // element i starts at i * estride, component c adds c * cstride (AoS:
+  // estride = dim, cstride = 1 — the legacy i * dim + c).
+  lidx_t estride = 1;
   lidx_t cstride = 1;
-  std::size_t brow = 1;
 
   void bind_layout(const mesh::DatLayout& lay) {
     dim = lay.dim;
-    bshift = lay.bshift;
-    bmask = lay.bmask;
+    estride = lay.estride;
     cstride = lay.cstride;
-    brow = lay.brow;
   }
 };
 
@@ -221,9 +217,8 @@ struct LoopRecord {
 void raise_out_of_region(const char* loop_name);
 
 /// Resolves one argument at iteration `i`. Inline so the batch loops in
-/// invoke_kernel_range/_list keep it out of the per-element path. The
-/// shift/mask element addressing is division-free for every layout; for
-/// AoS it constant-folds to the legacy base + i * dim.
+/// invoke_kernel_range/_list keep it out of the per-element path. Both
+/// layouts address base + t * estride (+ c * cstride in ElemRef).
 inline ElemRef resolve_arg(const ResolvedArg& a, lidx_t i, bool validate,
                            const char* loop_name = "") {
   if (a.is_gbl) return {a.base, 1};
@@ -234,8 +229,8 @@ inline ElemRef resolve_arg(const ResolvedArg& a, lidx_t i, bool validate,
                       static_cast<std::size_t>(a.idx)];
     if (validate && t == kInvalidLocal) raise_out_of_region(loop_name);
   }
-  return {a.base + static_cast<std::size_t>(t >> a.bshift) * a.brow +
-              static_cast<std::size_t>(t & a.bmask),
+  return {a.base + static_cast<std::size_t>(t) *
+                       static_cast<std::size_t>(a.estride),
           a.cstride};
 }
 
@@ -353,9 +348,9 @@ struct WorldConfig {
   int halo_depth = 2;
   sim::CostModel cost{};
   /// Transport layer: backend selection (sim fabric or MPI) plus the
-  /// multi-rail striping and persistent-channel knobs. The defaults —
-  /// sim backend, 1 rail, non-persistent — keep every exchange on the
-  /// legacy single-isend path, bitwise-identical to earlier builds.
+  /// persistent-channel knobs. The defaults — sim backend,
+  /// non-persistent — keep every exchange on the plain single-isend
+  /// path: one message per neighbour per exchange.
   sim::TransportConfig transport{};
   /// Per-iteration checks that every touched element is locally present.
   bool validate = false;
@@ -387,13 +382,12 @@ struct WorldConfig {
   /// SIMD data plane: per-dat storage layout of the rank-local arrays
   /// (mesh/layout). The default — pure AoS — is bitwise-identical to the
   /// legacy runtime for every executor, thread width and reorder
-  /// setting. SoA / AoSoA change only how elements are stored inside a
-  /// rank: the global mesh arrays, fetch_dat / reset_dat and the VTK
-  /// output keep the classic row layout (transposed at the boundary),
-  /// and per-element arithmetic is unchanged, so direct loops stay exact
-  /// under any layout. Composes with `reorder`: renumbering happens
-  /// before the layout transpose, so blocked runs land in consecutive
-  /// lanes of the same AoSoA block.
+  /// setting. SoA changes only how elements are stored inside a rank:
+  /// the global mesh arrays, fetch_dat / reset_dat and the VTK output
+  /// keep the classic row layout (transposed at the boundary), and
+  /// per-element arithmetic is unchanged, so direct loops stay exact
+  /// under either layout. Composes with `reorder`: renumbering happens
+  /// before the layout transpose.
   mesh::LayoutConfig layout{};
   /// Task-graph executor: replaces the per-colour pool barriers of
   /// threaded indirect sweeps with a dependency-driven task graph over
@@ -485,6 +479,12 @@ public:
   /// -1 when every rank is in-process (sim fabric, mpi-stub).
   rank_t spmd_rank() const { return spmd_rank_; }
 
+  // The all-rank entry points below (fetch_dat, reset_dat, the metric
+  // getters, clear_metrics, write_metrics_csv) read or write every
+  // rank's state. Called from a rank thread of a threaded run (nranks >
+  // 1, not SPMD) they would race the other ranks, so they throw there;
+  // call them between run() calls.
+
   /// Gathers the owned values of a dat into global element order.
   std::vector<double> fetch_dat(mesh::dat_id d) const;
   /// Overwrites a dat's values everywhere (owned + halo copies refreshed).
@@ -515,6 +515,8 @@ private:
   friend class Runtime;
   friend struct detail::RankState;
 
+  /// Throws when called while rank threads run (see fetch_dat).
+  void require_outside_rank_threads(const char* call) const;
   /// The Comm of the rank this process drives (SPMD mode) — the channel
   /// the cross-process reductions in fetch_dat / metrics run over.
   sim::Comm& spmd_comm() const;
@@ -533,6 +535,9 @@ private:
   /// is non-null (this process owns exactly one rank's data).
   std::vector<std::unique_ptr<detail::RankState>> ranks_;
   rank_t spmd_rank_ = -1;
+  /// True while run() has rank threads alive; written only around their
+  /// creation and join, so rank threads read it race-free.
+  bool rank_threads_running_ = false;
 };
 
 }  // namespace op2ca::core

@@ -6,9 +6,11 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <span>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "op2ca/core/runtime.hpp"
@@ -32,8 +34,8 @@ struct RankDat {
   int dim = 0;
   /// Storage descriptor: element order is always the halo-plan order
   /// (owned | exec | nonexec); `layout` says how those elements are
-  /// arranged inside `data` (AoS rows by default, SoA planes / AoSoA
-  /// blocks when WorldConfig::layout selects them).
+  /// arranged inside `data` (AoS rows by default, SoA planes when
+  /// WorldConfig::layout selects them).
   mesh::DatLayout layout;
   /// 64-byte-aligned backing store, layout.alloc_doubles() long.
   util::AlignedDVec data;
@@ -56,7 +58,13 @@ struct LoopExchange {
   };
   std::vector<Segment> sends;
   std::vector<Segment> recvs;
-  std::vector<ByteBuf> recv_bufs;  ///< slots, recvs-parallel.
+  /// Receive slots, recvs-parallel. A slot paired with a send to the
+  /// same peer keeps its payload for that send's next pack.
+  std::vector<ByteBuf> recv_bufs;
+  /// sends-parallel: the paired recv slot (the k-th send to a peer pairs
+  /// with the k-th receive from it), or -1 for an unpaired send.
+  std::vector<std::int32_t> send_spare;
+  std::vector<bool> recv_kept;  ///< recvs-parallel: paired with a send.
   /// Persistent channels (WorldConfig::transport.persistent): negotiated
   /// once when the exchange is built, parallel to sends/recvs. Empty
   /// when persistence is off.
@@ -72,7 +80,9 @@ struct ChainExchange {
   std::vector<mesh::dat_id> dats;          ///< specs-parallel.
   std::vector<halo::DatSyncSpec> specs;
   halo::GroupedPlan plan;
-  std::vector<ByteBuf> recv_bufs;  ///< sides-parallel.
+  /// Receive slots, sides-parallel. A side that also sends keeps its
+  /// payload for that send's next pack.
+  std::vector<ByteBuf> recv_bufs;
   std::vector<sim::Request> requests;             ///< reused capacity.
   /// Persistent channels (WorldConfig::transport.persistent), negotiated
   /// once per (chain, stale-mask) exchange and keyed by the same
@@ -166,6 +176,12 @@ struct RankState {
   std::map<std::string, ChainPlan> chain_plans;
   std::vector<std::unique_ptr<LoopExchange>> loop_exchanges;  ///< per dat.
   BufferPool staging;
+  /// Payloads of this rank's unpaired sends, handed back by their
+  /// receivers and keyed by (destination, tag, bytes). Receivers push
+  /// from their own threads, so every access holds returned_mu.
+  std::mutex returned_mu;
+  std::map<std::tuple<rank_t, sim::tag_t, std::size_t>, std::vector<ByteBuf>>
+      returned;
   std::vector<sim::Request> loop_requests;  ///< per-loop scratch, reused.
   std::int64_t dispatch_regions = 0;  ///< running region-body call count.
 
@@ -221,11 +237,56 @@ struct RankState {
   const halo::RankPlan& rank_plan() const;
   const halo::SetLayout& layout(mesh::set_id s) const;
   RankDat& rank_dat(mesh::dat_id d);
+  // Staging-buffer circulation. The zero-copy isend gives every packed
+  // buffer away, so each send of an exchange needs a buffer per epoch
+  // without allocating:
+  //  - a send paired with a receive from the same peer packs into that
+  //    receive's kept payload (`spare`, once its capacity suffices): the
+  //    pair's two buffers ping-pong, whatever the other ranks' timing;
+  //  - an unpaired send — an asymmetric exchange, e.g. one of the
+  //    V-cycle's, sends a peer more messages than it receives from it —
+  //    packs into a payload its receiver handed back (return_to_sender).
+  //    While the exchange receives anything from that peer, its next pack
+  //    waits on the peer's next post, which the peer makes after
+  //    unpacking, so at most one of its payloads is out when it packs:
+  //    two buffers, provisioned when the exchange is built, cover every
+  //    steady-state epoch.
+
+  /// Staging for one send of `bytes` to `dst` on `tag`.
+  ByteBuf send_buffer(ByteBuf* spare, rank_t dst, sim::tag_t tag,
+                      std::size_t bytes);
+  /// Hands an unpacked payload from `src` on `tag` that no send of this
+  /// rank reuses back to its sender. A sender in another process (SPMD
+  /// mode) has nothing to get it back; it joins this rank's pool.
+  void return_to_sender(ByteBuf buf, rank_t src, sim::tag_t tag);
+  /// Provisions the two buffers of an unpaired send (see above).
+  void provision_unpaired_send(rank_t dst, sim::tag_t tag,
+                               std::size_t bytes);
 
   /// Re-gathers a dat's local copy from a global array (owned + halos).
   void refresh_dat_from_global(mesh::dat_id d,
                                const std::vector<double>& global_data);
 };
+
+/// Posts send `i` of an exchange: through its persistent channel when the
+/// exchange negotiated them (`chans` non-empty), as a plain isend
+/// otherwise.
+inline sim::Request post_send(sim::Comm& comm,
+                              const std::vector<sim::Channel>& chans,
+                              std::size_t i, rank_t q, sim::tag_t tag,
+                              ByteBuf buf) {
+  return chans.empty() ? comm.isend(q, tag, std::move(buf))
+                       : comm.channel_isend(chans[i], std::move(buf));
+}
+
+/// Receive-side twin of post_send.
+inline sim::Request post_recv(sim::Comm& comm,
+                              const std::vector<sim::Channel>& chans,
+                              std::size_t i, rank_t q, sim::tag_t tag,
+                              ByteBuf* out) {
+  return chans.empty() ? comm.irecv(q, tag, out)
+                       : comm.channel_irecv(chans[i], out);
+}
 
 /// Executes one loop with the classic OP2 executor (Alg 1). Returns the
 /// metrics of this single execution (also accumulated into

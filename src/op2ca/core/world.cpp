@@ -99,11 +99,13 @@ void World::run(const std::function<void(Runtime&)>& spmd) {
   } else if (cfg_.nranks == 1) {
     rank_main(ranks_[0].get());
   } else {
+    rank_threads_running_ = true;
     std::vector<std::thread> threads;
     threads.reserve(ranks_.size());
     for (auto& state : ranks_)
       threads.emplace_back(rank_main, state.get());
     for (auto& t : threads) t.join();
+    rank_threads_running_ = false;
   }
 
   if (first_error) {
@@ -115,12 +117,21 @@ void World::run(const std::function<void(Runtime&)>& spmd) {
   }
 }
 
+void World::require_outside_rank_threads(const char* call) const {
+  OP2CA_REQUIRE(!rank_threads_running_,
+                std::string("World::") + call +
+                    " called inside a threaded World::run: it touches "
+                    "every rank's state while the rank threads run; call "
+                    "it between run() calls");
+}
+
 sim::Comm& World::spmd_comm() const {
   OP2CA_ASSERT(spmd_rank_ >= 0, "spmd_comm outside SPMD mode");
   return ranks_[static_cast<std::size_t>(spmd_rank_)]->comm;
 }
 
 std::vector<double> World::fetch_dat(mesh::dat_id d) const {
+  require_outside_rank_threads("fetch_dat");
   const mesh::DatDef& dd = mesh_.dat(d);
   std::vector<double> out(static_cast<std::size_t>(
       mesh_.set(dd.set).size * dd.dim));
@@ -145,6 +156,7 @@ std::vector<double> World::fetch_dat(mesh::dat_id d) const {
 }
 
 void World::reset_dat(mesh::dat_id d, const std::vector<double>& global) {
+  require_outside_rank_threads("reset_dat");
   const mesh::DatDef& dd = mesh_.dat(d);
   OP2CA_REQUIRE(static_cast<gidx_t>(global.size()) ==
                     mesh_.set(dd.set).size * dd.dim,
@@ -224,14 +236,17 @@ std::map<std::string, LoopMetrics> World::merged_metrics(bool chains) const {
 }
 
 std::map<std::string, LoopMetrics> World::loop_metrics() const {
+  require_outside_rank_threads("loop_metrics");
   return merged_metrics(/*chains=*/false);
 }
 
 std::map<std::string, LoopMetrics> World::chain_metrics() const {
+  require_outside_rank_threads("chain_metrics");
   return merged_metrics(/*chains=*/true);
 }
 
 void World::write_metrics_csv(std::ostream& os) const {
+  require_outside_rank_threads("write_metrics_csv");
   Table t;
   t.set_header({"kind", "name", "calls", "core_iters", "halo_iters",
                 "msgs", "bytes", "max_msg_bytes", "max_neighbors",
@@ -240,7 +255,7 @@ void World::write_metrics_csv(std::ostream& os) const {
                 "chunks", "colours", "busy_s", "tasks", "steals",
                 "dep_wait_s", "gather_span", "reuse_gap", "layout",
                 "bytes_per_elem", "numa_bytes", "node_bytes", "net_bytes",
-                "stripes", "h2d_bytes", "d2h_bytes", "device_transfers",
+                "h2d_bytes", "d2h_bytes", "device_transfers",
                 "device_s", "tile", "redundant_elems", "msgs_saved"});
   t.set_precision(6);
   auto add = [&t](const std::string& kind, const std::string& name,
@@ -260,7 +275,7 @@ void World::write_metrics_csv(std::ostream& os) const {
                    ? static_cast<double>(m.bytes) /
                          static_cast<double>(m.halo_elems)
                    : 0.0,
-               m.numa_bytes, m.node_bytes, m.net_bytes, m.stripes,
+               m.numa_bytes, m.node_bytes, m.net_bytes,
                m.h2d_bytes, m.d2h_bytes, m.device_transfers,
                m.device_seconds, m.tile, m.redundant_elems, m.msgs_saved});
   };
@@ -270,6 +285,7 @@ void World::write_metrics_csv(std::ostream& os) const {
 }
 
 void World::clear_metrics() {
+  require_outside_rank_threads("clear_metrics");
   for (auto& state : ranks_) {
     if (!state) continue;
     state->loop_metrics.clear();

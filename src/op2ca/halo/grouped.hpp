@@ -32,7 +32,7 @@ struct DatSyncSpec {
   /// initializers keep meaning what they meant) = classic AoS rows.
   ///
   /// Wire format: an AoS dat's message region stays element-major rows —
-  /// bitwise-identical to the legacy protocol. A SoA/AoSoA dat's region
+  /// bitwise-identical to the legacy protocol. A SoA dat's region
   /// is component-major (all component-0 values, then component-1, ...),
   /// so the pack/unpack become contiguous per-component streams on both
   /// sides. Sender and receiver derive each dat's layout kind from the

@@ -1,9 +1,9 @@
 #include "op2ca/mesh/layout.hpp"
 
-#include <cstring>
-#include "op2ca/util/error.hpp"
+#include <algorithm>
 
 #include "op2ca/util/aligned.hpp"
+#include "op2ca/util/error.hpp"
 
 namespace op2ca::mesh {
 
@@ -17,14 +17,6 @@ lidx_t round_up_line(lidx_t n) {
   return (n + kLineDoubles - 1) & ~(kLineDoubles - 1);
 }
 
-bool is_pow2(lidx_t n) { return n > 0 && (n & (n - 1)) == 0; }
-
-int log2_pow2(lidx_t n) {
-  int s = 0;
-  while ((lidx_t{1} << s) < n) ++s;
-  return s;
-}
-
 }  // namespace
 
 const char* layout_name(LayoutKind k) {
@@ -33,8 +25,6 @@ const char* layout_name(LayoutKind k) {
       return "aos";
     case LayoutKind::SoA:
       return "soa";
-    case LayoutKind::AoSoA:
-      return "aosoa";
   }
   return "?";
 }
@@ -42,9 +32,7 @@ const char* layout_name(LayoutKind k) {
 LayoutKind layout_by_name(const std::string& name) {
   if (name == "aos") return LayoutKind::AoS;
   if (name == "soa") return LayoutKind::SoA;
-  if (name == "aosoa") return LayoutKind::AoSoA;
-  raise("unknown layout '" + name +
-                              "' (expected aos|soa|aosoa)");
+  raise("unknown layout '" + name + "' (expected aos|soa)");
 }
 
 bool LayoutConfig::enabled() const {
@@ -63,8 +51,7 @@ LayoutKind LayoutConfig::resolve(const std::string& set,
   return kind;
 }
 
-DatLayout DatLayout::make(LayoutKind kind, int dim, lidx_t elems,
-                          lidx_t aosoa_block) {
+DatLayout DatLayout::make(LayoutKind kind, int dim, lidx_t elems) {
   if (dim <= 0) raise("DatLayout: dim must be > 0");
   if (elems < 0) raise("DatLayout: elems must be >= 0");
 
@@ -72,53 +59,28 @@ DatLayout DatLayout::make(LayoutKind kind, int dim, lidx_t elems,
   lay.kind = kind;
   lay.dim = dim;
   lay.elems = elems;
-
-  switch (kind) {
-    case LayoutKind::AoS:
-      // Plain rows: bitwise-identical addressing to the legacy layout.
-      lay.block = 1;
-      lay.padded = elems;
-      lay.cstride = 1;
-      lay.bshift = 0;
-      lay.bmask = 0;
-      lay.brow = static_cast<std::size_t>(dim);
-      break;
-    case LayoutKind::SoA:
-      // One block spanning every element: pad the plane length so each
-      // component starts cache-aligned, and pick a shift past any valid
-      // lidx_t so i >> bshift is always 0 (no second block exists).
-      lay.padded = round_up_line(elems);
-      lay.block = lay.padded;
-      lay.cstride = lay.padded;
-      lay.bshift = 30;
-      lay.bmask = (lidx_t{1} << 30) - 1;
-      lay.brow = 0;  // never reached: i >> 30 == 0 for valid indices
-      break;
-    case LayoutKind::AoSoA:
-      if (!is_pow2(aosoa_block))
-        raise(
-            "DatLayout: aosoa_block must be a power of two");
-      lay.block = aosoa_block;
-      lay.padded =
-          ((elems + aosoa_block - 1) / aosoa_block) * aosoa_block;
-      lay.cstride = aosoa_block;
-      lay.bshift = log2_pow2(aosoa_block);
-      lay.bmask = aosoa_block - 1;
-      lay.brow = static_cast<std::size_t>(aosoa_block) *
-                 static_cast<std::size_t>(dim);
-      break;
+  if (kind == LayoutKind::AoS) {
+    // Plain rows: bitwise-identical addressing to the legacy layout.
+    lay.padded = elems;
+    lay.estride = dim;
+    lay.cstride = 1;
+  } else {
+    // Component planes, each padded to start cache-aligned.
+    lay.padded = round_up_line(elems);
+    lay.estride = 1;
+    lay.cstride = lay.padded;
   }
   return lay;
 }
 
 void to_layout(const double* aos_rows, const DatLayout& lay, double* out) {
+  // copy_n / fill_n rather than memcpy / memset: an empty dat may pass
+  // null pointers, which the mem* functions forbid even for zero bytes.
   if (lay.is_aos()) {
-    std::memcpy(out, aos_rows,
-                static_cast<std::size_t>(lay.elems) * lay.dim *
-                    sizeof(double));
+    std::copy_n(aos_rows, static_cast<std::size_t>(lay.elems) * lay.dim, out);
     return;
   }
-  std::memset(out, 0, lay.alloc_doubles() * sizeof(double));
+  std::fill_n(out, lay.alloc_doubles(), 0.0);
   for (lidx_t i = 0; i < lay.elems; ++i) {
     const double* row = aos_rows + static_cast<std::size_t>(i) * lay.dim;
     const std::size_t base = lay.elem_offset(i);
@@ -130,9 +92,8 @@ void to_layout(const double* aos_rows, const DatLayout& lay, double* out) {
 void from_layout(const double* data, const DatLayout& lay,
                  double* aos_rows) {
   if (lay.is_aos()) {
-    std::memcpy(aos_rows, data,
-                static_cast<std::size_t>(lay.elems) * lay.dim *
-                    sizeof(double));
+    std::copy_n(data, static_cast<std::size_t>(lay.elems) * lay.dim,
+                aos_rows);
     return;
   }
   for (lidx_t i = 0; i < lay.elems; ++i) {

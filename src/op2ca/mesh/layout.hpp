@@ -1,29 +1,24 @@
 // Dat data layouts for the SIMD data plane.
 //
-// Every rank-local dat array can be stored one of three ways:
+// Every rank-local dat array is stored one of two ways:
 //
-//   AoS       element-major rows (the legacy layout): component c of
-//             element i lives at  i*dim + c.
-//   SoA       component-major planes: c*padded + i. A fixed component is
-//             unit-stride across elements, so range bodies and the halo
-//             pack become contiguous per-component streams, and kernels
-//             touching a subset of components stop dragging whole rows
-//             through the cache.
-//   AoSoA<B>  blocks of B elements, component-major within the block:
-//             (i/B)*B*dim + c*B + (i%B). SIMD-friendly like SoA but each
-//             block stays within a few cache lines, which keeps gather-
-//             heavy indirect loops closer to AoS locality.
+//   AoS   element-major rows (the legacy layout): component c of element
+//         i lives at  i*dim + c.
+//   SoA   component-major planes: c*padded + i. A fixed component is
+//         unit-stride across elements, so range bodies and the halo pack
+//         become contiguous per-component streams, and kernels touching
+//         a subset of components stop dragging whole rows through the
+//         cache.
 //
-// All three unify under one addressing scheme — AoS is AoSoA<1> and SoA
-// is AoSoA<padded> — so the hot paths carry a single descriptor:
+// Both reduce to one stride pair, so the hot paths carry a single
+// descriptor:
 //
-//   elem_offset(i) = (i >> bshift) * brow + (i & bmask)
-//   offset(i, c)   = elem_offset(i) + c * cstride
+//   offset(i, c) = i * estride + c * cstride
 //
-// with block sizes constrained to powers of two (the shift/mask form
-// keeps per-element addressing division-free). The descriptor pads the
-// element count so every component plane / block starts cache-aligned;
-// padding slots are zero-filled and never addressed by a valid index.
+// (AoS: estride = dim, cstride = 1; SoA: estride = 1, cstride = padded).
+// SoA pads the element count so every component plane starts
+// cache-aligned; padding slots are zero-filled and never addressed by a
+// valid index.
 //
 // The layout is an in-rank storage detail only: the global MeshDef
 // arrays, World::fetch_dat / reset_dat, VTK output and the message wire
@@ -39,10 +34,10 @@
 
 namespace op2ca::mesh {
 
-enum class LayoutKind { AoS, SoA, AoSoA };
+enum class LayoutKind { AoS, SoA };
 
 const char* layout_name(LayoutKind k);
-/// Parses "aos" | "soa" | "aosoa"; raises on anything else.
+/// Parses "aos" | "soa"; raises on anything else.
 LayoutKind layout_by_name(const std::string& name);
 
 /// WorldConfig::layout: the default dat layout plus per-set and per-dat
@@ -51,9 +46,6 @@ LayoutKind layout_by_name(const std::string& name);
 /// the pre-layout runtime.
 struct LayoutConfig {
   LayoutKind kind = LayoutKind::AoS;
-  /// Elements per AoSoA block; must be a power of two. 8 doubles = one
-  /// cache line per dim-1 component row.
-  lidx_t aosoa_block = 8;
   std::map<std::string, LayoutKind> per_set;
   std::map<std::string, LayoutKind> per_dat;
 
@@ -65,29 +57,22 @@ struct LayoutConfig {
 
 /// Per-dat storage descriptor. Built once per (rank, dat) and carried by
 /// RankDat, ResolvedArg and DatSyncSpec; all addressing on the hot paths
-/// goes through the shift/mask fields below.
+/// goes through the stride pair below.
 struct DatLayout {
   LayoutKind kind = LayoutKind::AoS;
   int dim = 1;
   lidx_t elems = 0;    ///< logical element count (layout total).
-  lidx_t block = 1;    ///< elements per block (padded count for SoA).
   lidx_t padded = 0;   ///< allocated element slots (>= elems).
+  lidx_t estride = 1;  ///< doubles between consecutive elements.
   lidx_t cstride = 1;  ///< doubles between components of one element.
-  int bshift = 0;      ///< log2(block); SoA uses a degenerate 30.
-  lidx_t bmask = 0;    ///< lane mask within a block.
-  std::size_t brow = 1;  ///< doubles per block (block * dim).
 
-  /// Builds the descriptor. `aosoa_block` is only read for AoSoA and
-  /// must be a power of two.
-  static DatLayout make(LayoutKind kind, int dim, lidx_t elems,
-                        lidx_t aosoa_block);
+  static DatLayout make(LayoutKind kind, int dim, lidx_t elems);
 
   bool is_aos() const { return kind == LayoutKind::AoS; }
 
   /// First-component offset of element i (doubles).
   std::size_t elem_offset(lidx_t i) const {
-    return static_cast<std::size_t>(i >> bshift) * brow +
-           static_cast<std::size_t>(i & bmask);
+    return static_cast<std::size_t>(i) * static_cast<std::size_t>(estride);
   }
   /// Offset of component c of element i (doubles).
   std::size_t offset(lidx_t i, int c) const {

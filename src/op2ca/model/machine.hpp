@@ -81,7 +81,7 @@ struct Machine {
   /// Communication terms are unaffected: reordering moves no bytes.
   double locality_factor = 1.0;
   /// SIMD speedup of the per-iteration cost under a vector-friendly dat
-  /// layout (WorldConfig::layout = SoA / AoSoA): calibrations are taken
+  /// layout (WorldConfig::layout = SoA): calibrations are taken
   /// on AoS storage, so a layout A/B ratio from BENCH_simd.json enters
   /// the compute terms as a factor > 1. 1 = scalar AoS baseline.
   /// Communication terms are unaffected: the wire carries the same
@@ -97,16 +97,17 @@ struct Machine {
   }
   double extra_latency_s = 0.0;
   DeviceTier device;
-  /// Multi-rail striping threshold (mirrors TransportConfig): messages
-  /// at or above this stripe across net.net_rails parallel links, which
-  /// enters Eq (1)/(3) as an effective bandwidth B * rails on the m/B
+  /// Multi-rail threshold of the model: messages at or above this are
+  /// assumed to spread across net.net_rails parallel links, which enters
+  /// Eq (1)/(3) as an effective bandwidth B * rails on the m/B
   /// serialisation term. Latency-bound messages below it are unaffected
-  /// — striping buys bandwidth, not latency. With net_rails == 1 (the
+  /// — rails buy bandwidth, not latency. With net_rails == 1 (the
   /// default CostModel) every prediction is bitwise-identical to the
-  /// flat model.
+  /// flat model. The runtime itself sends one message per neighbour and
+  /// never splits it (in-process striping measured slower).
   std::size_t stripe_min_bytes = std::size_t{64} * 1024;
   /// Effective wire bandwidth for one `bytes`-sized message: B times the
-  /// rail count once the message is large enough to stripe.
+  /// rail count once the message reaches stripe_min_bytes.
   double effective_bandwidth(std::size_t bytes) const {
     const bool striped =
         net.net_rails > 1 && bytes >= stripe_min_bytes;

@@ -2,12 +2,11 @@
 //
 // The zero-copy transport moves send payloads into the destination
 // mailbox, so a sender cannot keep reusing one staging buffer: every
-// isend gives its storage away. The pool closes the loop instead: after a
-// rank unpacks a received message it releases the (moved-in) payload
-// here, and the next pack acquires it. In a symmetric exchange every rank
-// receives as many buffers per epoch as it sends, so after a warm-up
-// epoch or two (while capacities converge to the largest message) the
-// steady state performs zero heap allocations.
+// isend gives its storage away. The pool is where a rank's staging
+// buffers start; in steady state the executors recycle received payloads
+// without it (core::detail::RankState::send_buffer), so after a warm-up
+// epoch or two (while capacities converge to the largest message) no
+// take() allocates.
 //
 // The high-water mark DECAYS: demand is tracked per window of
 // kDecayWindow takes, and when a window closes the mark drops to that

@@ -124,6 +124,56 @@ TEST(ChainExec, DisabledChainFallsBackToOp2) {
   EXPECT_GT(chains.at("synthetic").calls, 0);
 }
 
+TEST(ChainExec, DisabledChainRowIsTheFoldOfItsLoopRows) {
+  // An OP2-mode chain row must carry every LoopMetrics column, folded
+  // over its loops exactly as LoopMetrics::accumulate folds them. The
+  // chain holds one synth_update and one synth_edge_flux, each run once,
+  // so their loop rows are single executions. The task graph and the
+  // device ledger make the per-executor columns non-zero.
+  for (const bool device : {false, true}) {
+    apps::mgcfd::Problem prob = apps::mgcfd::build_problem(1000, 1);
+    WorldConfig cfg = base_config(2, 2);
+    cfg.threads_per_rank = 2;
+    cfg.taskgraph = !device;
+    cfg.device.enabled = device;
+    World w(std::move(prob.mg.mesh), cfg);
+    w.run([&](Runtime& rt) {
+      apps::mgcfd::run_synthetic_chain(
+          rt, apps::mgcfd::resolve_handles(rt, prob), 1);
+    });
+    const auto loops = w.loop_metrics();
+    LoopMetrics fold;
+    for (const char* name : {"synth_update", "synth_edge_flux"})
+      fold.accumulate(loops.at(name));
+    fold.tile = 1;  // a chain row is untiled, a loop row has no tile
+    const LoopMetrics row = w.chain_metrics().at("synthetic");
+    EXPECT_GT(row.msgs, 0);
+    EXPECT_GT(device ? row.h2d_bytes : row.tasks, 0);
+
+    using M = LoopMetrics;
+    for (const auto f :
+         {&M::calls, &M::core_iters, &M::halo_iters, &M::msgs, &M::bytes,
+          &M::max_msg_bytes, &M::max_rank_bytes, &M::dispatch_regions,
+          &M::plan_builds, &M::staging_allocs, &M::chunks, &M::tasks,
+          &M::steals, &M::halo_elems, &M::numa_bytes, &M::node_bytes,
+          &M::net_bytes, &M::h2d_bytes, &M::d2h_bytes,
+          &M::device_transfers, &M::tile, &M::redundant_elems,
+          &M::msgs_saved})
+      EXPECT_EQ(row.*f, fold.*f) << "device " << device;
+    for (const auto f :
+         {&M::max_neighbors, &M::max_colours, &M::layout_code})
+      EXPECT_EQ(row.*f, fold.*f) << "device " << device;
+    // Doubles: the chain row sums loops then ranks, the fold ranks then
+    // loops — equal up to reassociation.
+    for (const auto f :
+         {&M::wall_seconds, &M::pack_seconds, &M::core_seconds,
+          &M::wait_seconds, &M::unpack_seconds, &M::halo_seconds,
+          &M::busy_seconds, &M::dep_wait_seconds, &M::gather_span,
+          &M::reuse_gap, &M::device_seconds})
+      EXPECT_DOUBLE_EQ(row.*f, fold.*f) << "device " << device;
+  }
+}
+
 TEST(ChainExec, InsufficientHaloDepthRaises) {
   apps::mgcfd::Problem prob = apps::mgcfd::build_problem(1000, 1);
   WorldConfig cfg = base_config(4, /*depth=*/1);  // chain needs 2

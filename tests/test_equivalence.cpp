@@ -44,10 +44,9 @@ WorldConfig equiv_config(int nranks, Mode mode, bool serial_dispatch,
   return cfg;
 }
 
-mesh::LayoutConfig layout_cfg(mesh::LayoutKind kind, int block = 8) {
+mesh::LayoutConfig layout_cfg(mesh::LayoutKind kind) {
   mesh::LayoutConfig lc;
   lc.kind = kind;
-  lc.aosoa_block = block;
   return lc;
 }
 
@@ -87,44 +86,12 @@ struct SynthResult {
   std::vector<double> sres, sflux, spres;
 };
 
-SynthResult run_synth(int nranks, Mode mode, bool serial_dispatch,
-                      mesh::ReorderKind reorder = mesh::ReorderKind::None,
-                      int threads = 1,
-                      mesh::LayoutConfig layout = {},
-                      bool taskgraph = false,
-                      gpu::DeviceConfig device = {}) {
+/// Runs two timesteps of the synthetic loops (chained, or plain under
+/// lazy mode) in a World built from `cfg`.
+SynthResult run_synth_world(WorldConfig cfg, Mode mode) {
   apps::mgcfd::Problem prob = apps::mgcfd::build_problem(1200, 1);
   const mesh::dat_id sres = prob.sres, sflux = prob.sflux,
                      spres = prob.spres;
-  World w(std::move(prob.mg.mesh),
-          equiv_config(nranks, mode, serial_dispatch, reorder, threads,
-                       layout, taskgraph, device));
-  w.run([&](Runtime& rt) {
-    const auto h = apps::mgcfd::resolve_handles(rt, prob);
-    for (int t = 0; t < 2; ++t) {
-      if (mode == Mode::kLazy) {
-        plain_loops(rt, h, 3);
-        rt.barrier();
-      } else {
-        apps::mgcfd::run_synthetic_chain(rt, h, 3);
-      }
-    }
-  });
-  return SynthResult{w.fetch_dat(sres), w.fetch_dat(sflux),
-                     w.fetch_dat(spres)};
-}
-
-/// run_synth under a non-default transport layer (striping, persistent
-/// channels, alternate backend). The transport moves the same bytes to
-/// the same buffers — in a different number of wire messages — so every
-/// configuration must be BIT-IDENTICAL to the legacy single-isend path.
-SynthResult run_synth_transport(int nranks, Mode mode,
-                                const sim::TransportConfig& tc) {
-  apps::mgcfd::Problem prob = apps::mgcfd::build_problem(1200, 1);
-  const mesh::dat_id sres = prob.sres, sflux = prob.sflux,
-                     spres = prob.spres;
-  WorldConfig cfg = equiv_config(nranks, mode, false);
-  cfg.transport = tc;
   World w(std::move(prob.mg.mesh), cfg);
   w.run([&](Runtime& rt) {
     const auto h = apps::mgcfd::resolve_handles(rt, prob);
@@ -141,16 +108,26 @@ SynthResult run_synth_transport(int nranks, Mode mode,
                      w.fetch_dat(spres)};
 }
 
-/// Striping config aggressive enough that every halo message stripes.
-sim::TransportConfig striped_tc(bool persistent,
-                                sim::BackendKind backend =
-                                    sim::BackendKind::Sim) {
-  sim::TransportConfig tc;
-  tc.backend = backend;
-  tc.rails = 4;
-  tc.stripe_min_bytes = 64;
-  tc.persistent = persistent;
-  return tc;
+SynthResult run_synth(int nranks, Mode mode, bool serial_dispatch,
+                      mesh::ReorderKind reorder = mesh::ReorderKind::None,
+                      int threads = 1,
+                      mesh::LayoutConfig layout = {},
+                      bool taskgraph = false,
+                      gpu::DeviceConfig device = {}) {
+  return run_synth_world(equiv_config(nranks, mode, serial_dispatch, reorder,
+                                      threads, layout, taskgraph, device),
+                         mode);
+}
+
+/// run_synth under a non-default transport layer (persistent channels,
+/// alternate backend). The transport moves the same bytes to the same
+/// buffers — under different tags and handshakes — so every
+/// configuration must be BIT-IDENTICAL to the plain single-isend path.
+SynthResult run_synth_transport(int nranks, Mode mode,
+                                const sim::TransportConfig& tc) {
+  WorldConfig cfg = equiv_config(nranks, mode, false);
+  cfg.transport = tc;
+  return run_synth_world(cfg, mode);
 }
 
 void expect_bitwise(const SynthResult& a, const SynthResult& b) {
@@ -189,38 +166,18 @@ TEST(Equivalence, ModesAgreeToTolerance) {
 
 // -- Transport layer (WorldConfig::transport). --------------------------
 //
-// Striping, persistent channels and the backend choice only change HOW
-// bytes cross the fabric (how many wire messages, which tags), never
-// which bytes land where. Every row below is therefore held to bitwise
+// Persistent channels and the backend choice only change HOW bytes cross
+// the fabric (which tags, which handshake), never which bytes land
+// where. Every row below is therefore held to bitwise
 // identity against the legacy default-transport run of the same mode.
-
-TEST(Equivalence, TransportStripingIsBitwise) {
-  for (const Mode mode : {Mode::kOp2, Mode::kCa, Mode::kLazy}) {
-    const SynthResult base = run_synth(5, mode, false);
-    expect_bitwise(base, run_synth_transport(5, mode, striped_tc(false)));
-  }
-}
 
 TEST(Equivalence, TransportPersistentChannelsAreBitwise) {
   for (const Mode mode : {Mode::kOp2, Mode::kCa, Mode::kLazy}) {
-    const SynthResult base = run_synth(5, mode, false);
-    // Persistent channels alone (1 rail)...
     sim::TransportConfig tc;
     tc.persistent = true;
-    expect_bitwise(base, run_synth_transport(5, mode, tc));
-    // ...and combined with striping.
-    expect_bitwise(base, run_synth_transport(5, mode, striped_tc(true)));
+    expect_bitwise(run_synth(5, mode, false),
+                   run_synth_transport(5, mode, tc));
   }
-}
-
-TEST(Equivalence, TransportMultiRailBelowThresholdIsLegacyPath) {
-  // rails > 1 with an unreachable threshold must leave every message on
-  // the single-isend path: nothing stripes, nothing changes.
-  sim::TransportConfig tc;
-  tc.rails = 4;
-  tc.stripe_min_bytes = std::size_t{1} << 30;
-  expect_bitwise(run_synth(5, Mode::kCa, false),
-                 run_synth_transport(5, Mode::kCa, tc));
 }
 
 TEST(Equivalence, TransportMpiStubMatchesSim) {
@@ -229,15 +186,13 @@ TEST(Equivalence, TransportMpiStubMatchesSim) {
                     "thread harness only drives the stub";
   for (const Mode mode : {Mode::kOp2, Mode::kCa, Mode::kLazy}) {
     const SynthResult base = run_synth(5, mode, false);
-    // Stub backend, striping off...
+    // Stub backend, plain sends...
     sim::TransportConfig tc;
     tc.backend = sim::BackendKind::Mpi;
     expect_bitwise(base, run_synth_transport(5, mode, tc));
-    // ...and on, with persistent channels.
-    expect_bitwise(
-        base,
-        run_synth_transport(5, mode,
-                            striped_tc(true, sim::BackendKind::Mpi)));
+    // ...and with persistent channels.
+    tc.persistent = true;
+    expect_bitwise(base, run_synth_transport(5, mode, tc));
   }
 }
 
@@ -317,65 +272,38 @@ TEST(Equivalence, ReorderedWidthIndependentSweeps) {
 TEST(Equivalence, LayoutMatchesBaselineAllModes) {
   for (const Mode mode : {Mode::kOp2, Mode::kCa, Mode::kLazy}) {
     const SynthResult base = run_synth(5, mode, false);
-    for (const auto kind :
-         {mesh::LayoutKind::SoA, mesh::LayoutKind::AoSoA}) {
-      const SynthResult re = run_synth(5, mode, false,
-                                       mesh::ReorderKind::None, 1,
-                                       layout_cfg(kind));
-      EXPECT_EQ(base.spres, re.spres);  // direct loop: exact
-      testutil::expect_allclose(base.sres, re.sres);
-      testutil::expect_allclose(base.sflux, re.sflux);
-    }
+    const SynthResult re =
+        run_synth(5, mode, false, mesh::ReorderKind::None, 1,
+                  layout_cfg(mesh::LayoutKind::SoA));
+    EXPECT_EQ(base.spres, re.spres);  // direct loop: exact
+    testutil::expect_allclose(base.sres, re.sres);
+    testutil::expect_allclose(base.sflux, re.sflux);
   }
 }
 
 TEST(Equivalence, LayoutFourThreadsWithReorder) {
   // Layout composes with the locality layer and threaded sweeps: compare
-  // each layout against AoS at the SAME (reorder, width) configuration,
-  // where iteration order is identical.
-  for (const auto kind :
-       {mesh::LayoutKind::SoA, mesh::LayoutKind::AoSoA}) {
-    for (const auto reorder :
-         {mesh::ReorderKind::None, mesh::ReorderKind::RCM}) {
-      const SynthResult base =
-          run_synth(4, Mode::kOp2, false, reorder, 4);
-      const SynthResult re = run_synth(4, Mode::kOp2, false, reorder, 4,
-                                       layout_cfg(kind));
-      EXPECT_EQ(base.spres, re.spres);
-      testutil::expect_allclose(base.sres, re.sres);
-      testutil::expect_allclose(base.sflux, re.sflux);
-    }
+  // SoA against AoS at the SAME (reorder, width) configuration, where
+  // iteration order is identical.
+  for (const auto reorder :
+       {mesh::ReorderKind::None, mesh::ReorderKind::RCM}) {
+    const SynthResult base = run_synth(4, Mode::kOp2, false, reorder, 4);
+    const SynthResult re = run_synth(4, Mode::kOp2, false, reorder, 4,
+                                     layout_cfg(mesh::LayoutKind::SoA));
+    EXPECT_EQ(base.spres, re.spres);
+    testutil::expect_allclose(base.sres, re.sres);
+    testutil::expect_allclose(base.sflux, re.sflux);
   }
 }
 
 TEST(Equivalence, LayoutBatchedMatchesPerElement) {
-  // Region batching stays bitwise under a non-AoS layout, like it is
-  // under AoS.
-  expect_bitwise(
-      run_synth(5, Mode::kOp2, false, mesh::ReorderKind::None, 1,
-                layout_cfg(mesh::LayoutKind::SoA)),
-      run_synth(5, Mode::kOp2, true, mesh::ReorderKind::None, 1,
-                layout_cfg(mesh::LayoutKind::SoA)));
-  expect_bitwise(
-      run_synth(5, Mode::kCa, false, mesh::ReorderKind::None, 1,
-                layout_cfg(mesh::LayoutKind::AoSoA, 4)),
-      run_synth(5, Mode::kCa, true, mesh::ReorderKind::None, 1,
-                layout_cfg(mesh::LayoutKind::AoSoA, 4)));
-}
-
-TEST(Equivalence, LayoutAosoaBlockInvariance) {
-  // The block size changes addressing only — every block width must
-  // produce the same result bitwise (tail blocks included: rank-local
-  // element counts here are not multiples of any block).
-  const SynthResult b8 = run_synth(5, Mode::kOp2, false,
-                                   mesh::ReorderKind::None, 1,
-                                   layout_cfg(mesh::LayoutKind::AoSoA, 8));
-  for (const int block : {2, 16}) {
-    const SynthResult other =
-        run_synth(5, Mode::kOp2, false, mesh::ReorderKind::None, 1,
-                  layout_cfg(mesh::LayoutKind::AoSoA, block));
-    expect_bitwise(b8, other);
-  }
+  // Region batching stays bitwise under SoA, like it is under AoS.
+  for (const Mode mode : {Mode::kOp2, Mode::kCa})
+    expect_bitwise(
+        run_synth(5, mode, false, mesh::ReorderKind::None, 1,
+                  layout_cfg(mesh::LayoutKind::SoA)),
+        run_synth(5, mode, true, mesh::ReorderKind::None, 1,
+                  layout_cfg(mesh::LayoutKind::SoA)));
 }
 
 // -- Task-graph executor (WorldConfig::taskgraph). ----------------------
@@ -487,15 +415,12 @@ TEST(Equivalence, DeviceLayoutsMatch) {
     const SynthResult base =
         run_synth(5, mode, false, mesh::ReorderKind::None, 1, {}, false,
                   device_cfg());
-    for (const auto kind :
-         {mesh::LayoutKind::SoA, mesh::LayoutKind::AoSoA}) {
-      const SynthResult re =
-          run_synth(5, mode, false, mesh::ReorderKind::None, 1,
-                    layout_cfg(kind), false, device_cfg());
-      EXPECT_EQ(base.spres, re.spres);
-      testutil::expect_allclose(base.sres, re.sres);
-      testutil::expect_allclose(base.sflux, re.sflux);
-    }
+    const SynthResult re =
+        run_synth(5, mode, false, mesh::ReorderKind::None, 1,
+                  layout_cfg(mesh::LayoutKind::SoA), false, device_cfg());
+    EXPECT_EQ(base.spres, re.spres);
+    testutil::expect_allclose(base.sres, re.sres);
+    testutil::expect_allclose(base.sflux, re.sflux);
   }
 }
 
@@ -611,9 +536,7 @@ TEST(Equivalence, TiledLayoutsAndThreads) {
   // Tiling composes with the SIMD data plane and threaded sweeps: at
   // each (layout, width) configuration the tiled run matches the OP2
   // baseline of the same configuration.
-  for (const auto kind :
-       {mesh::LayoutKind::AoS, mesh::LayoutKind::SoA,
-        mesh::LayoutKind::AoSoA}) {
+  for (const auto kind : {mesh::LayoutKind::AoS, mesh::LayoutKind::SoA}) {
     for (const int threads : {1, 4}) {
       const SynthResult base =
           run_synth_tiled(4, 1, Mode::kOp2, threads, layout_cfg(kind));

@@ -2,12 +2,16 @@
 // legibly, never deadlock, and leave errors attributable.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <span>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "op2ca/apps/mgcfd/mgcfd.hpp"
+#include "op2ca/comm/channel.hpp"
 #include "op2ca/comm/comm.hpp"
 #include "op2ca/comm/transport.hpp"
 #include "op2ca/core/chain_config.hpp"
@@ -121,6 +125,42 @@ TEST(WorldFailures, BadHaloDepthRejected) {
   WorldConfig cfg;
   cfg.halo_depth = 0;
   EXPECT_THROW(World(std::move(q.mesh), cfg), Error);
+}
+
+TEST(WorldFailures, AllRankCallsThrowInsideThreadedRun) {
+  // Each call reads or writes every rank's state; from a rank thread it
+  // would race the other ranks, so it must refuse instead.
+  using Call = std::function<void(World&, mesh::dat_id)>;
+  const std::vector<std::pair<const char*, Call>> calls = {
+      {"clear_metrics", [](World& w, mesh::dat_id) { w.clear_metrics(); }},
+      {"fetch_dat", [](World& w, mesh::dat_id d) { w.fetch_dat(d); }},
+      {"reset_dat",
+       [](World& w, mesh::dat_id d) {
+         w.reset_dat(d, std::vector<double>(25, 1.0));
+       }},
+      {"loop_metrics", [](World& w, mesh::dat_id) { w.loop_metrics(); }},
+      {"chain_metrics", [](World& w, mesh::dat_id) { w.chain_metrics(); }},
+      {"write_metrics_csv", [](World& w, mesh::dat_id) {
+         std::ostringstream os;
+         w.write_metrics_csv(os);
+       }}};
+  for (const auto& [name, call] : calls) {
+    mesh::Quad2D q = mesh::make_quad2d(4, 4);  // 25 nodes
+    const mesh::dat_id d = q.mesh.add_dat("d", q.nodes, 1);
+    WorldConfig cfg;
+    cfg.nranks = 2;
+    World w(std::move(q.mesh), cfg);
+    try {
+      w.run([&](Runtime&) { call(w, d); });
+      ADD_FAILURE() << name << " ran inside a threaded run";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(name), std::string::npos) << what;
+      EXPECT_NE(what.find("inside a threaded World::run"), std::string::npos)
+          << what;
+    }
+    EXPECT_NO_THROW(call(w, d)) << name;  // legal between runs
+  }
 }
 
 TEST(WorldFailures, RankExceptionCarriesMessage) {
@@ -239,99 +279,60 @@ TEST(WorldFailures, InfeasibleChainRejectedWithGuidance) {
   }
 }
 
-// ---- Transport faults: a striped exchange must fail loudly or fall
-// back; delivering a torn message silently is never an option. ------------
+// ---- Transport faults: a persistent-channel receive must fail loudly;
+// hanging or delivering a torn message silently is never an option. ------
 
-TEST(TransportFailures, DroppedRailTimesOutLoudly) {
-  sim::Transport t(2);
-  sim::TransportConfig tc;
-  tc.rails = 4;
-  tc.stripe_min_bytes = 64;
-  tc.stripe_timeout_s = 0.2;  // fail fast in the test.
-  // Rail 0's stripe never arrives: a dead NIC / lost sub-message.
-  t.inject_drop(/*src=*/0, /*dst=*/1, /*tag=*/9, /*count=*/1);
-  sim::Comm sender(t, 0, nullptr, &tc);
-  auto sreq = sender.stripe_isend(1, 9, ByteBuf(2048));
-  sender.wait(sreq);
-  sim::Comm recv(t, 1, nullptr, &tc);
-  ByteBuf out;
-  auto rreq = recv.stripe_irecv(0, 9, &out, 2048);
-  try {
-    recv.wait(rreq);
-    FAIL() << "reassembly must not complete with a dropped rail";
-  } catch (const Error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("timed out"), std::string::npos) << what;
-    EXPECT_NE(what.find("dropped rail"), std::string::npos) << what;
+/// Opens one persistent channel of `bytes` from rank 0 to rank 1 over
+/// `t` and moves one payload through it. Returns the error the receive
+/// raised ("" when the payload arrived intact).
+std::string channel_transfer_error(sim::Transport& t,
+                                   const sim::TransportConfig& tc,
+                                   std::size_t bytes) {
+  std::string error;
+  std::vector<std::thread> threads;
+  for (int r = 0; r < 2; ++r) {
+    threads.emplace_back([&, r] {
+      sim::Comm c(t, r, nullptr, &tc);
+      const sim::ChannelSpec spec{1 - r, /*sender=*/r == 0, bytes, 9};
+      auto chans =
+          c.open_channels(std::span<const sim::ChannelSpec>(&spec, 1));
+      ByteBuf out;
+      auto req = r == 0 ? c.channel_isend(chans[0], ByteBuf(bytes))
+                        : c.channel_irecv(chans[0], &out);
+      try {
+        c.wait(req);
+      } catch (const Error& e) {
+        error = e.what();  // only the receiving rank can raise here
+      }
+    });
   }
+  for (auto& th : threads) th.join();
+  return error;
 }
 
-TEST(TransportFailures, TruncatedStripeRejectedAsTorn) {
+TEST(TransportFailures, DroppedChannelMessageTimesOutLoudly) {
+  // The channel's payload never arrives (lost message, dead peer).
   sim::Transport t(2);
   sim::TransportConfig tc;
-  tc.rails = 4;
-  tc.stripe_min_bytes = 64;
-  // Keep the 32-byte header plus 8 payload bytes: the header promises a
-  // full stripe, the body cannot honour it.
-  t.inject_truncate(/*src=*/0, /*dst=*/1, /*tag=*/9, /*keep_bytes=*/40);
-  sim::Comm sender(t, 0, nullptr, &tc);
-  auto sreq = sender.stripe_isend(1, 9, ByteBuf(2048));
-  sender.wait(sreq);
-  sim::Comm recv(t, 1, nullptr, &tc);
-  ByteBuf out;
-  auto rreq = recv.stripe_irecv(0, 9, &out, 2048);
-  try {
-    recv.wait(rreq);
-    FAIL() << "a truncated stripe must be rejected";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("torn"), std::string::npos)
-        << e.what();
-  }
+  tc.persistent = true;
+  tc.channel_timeout_s = 0.2;  // fail fast in the test.
+  t.inject_drop(/*src=*/0, /*dst=*/1, sim::kChannelTagBase, /*count=*/1);
+  const std::string what = channel_transfer_error(t, tc, 2048);
+  EXPECT_NE(what.find("timed out"), std::string::npos) << what;
+  EXPECT_NE(what.find("dropped message"), std::string::npos) << what;
 }
 
-TEST(TransportFailures, StripeShorterThanHeaderRejected) {
+TEST(TransportFailures, TruncatedChannelMessageRejectedAsTorn) {
+  // Only 40 of the 2048 negotiated bytes arrive: the fixed slot size
+  // must reject the short payload instead of unpacking garbage.
   sim::Transport t(2);
   sim::TransportConfig tc;
-  tc.rails = 4;
-  tc.stripe_min_bytes = 64;
-  // Not even a whole header survives.
-  t.inject_truncate(/*src=*/0, /*dst=*/1, /*tag=*/9, /*keep_bytes=*/16);
-  sim::Comm sender(t, 0, nullptr, &tc);
-  auto sreq = sender.stripe_isend(1, 9, ByteBuf(2048));
-  sender.wait(sreq);
-  sim::Comm recv(t, 1, nullptr, &tc);
-  ByteBuf out;
-  auto rreq = recv.stripe_irecv(0, 9, &out, 2048);
-  try {
-    recv.wait(rreq);
-    FAIL() << "a headerless fragment must be rejected";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos)
-        << e.what();
-  }
-}
-
-TEST(TransportFailures, BelowThresholdFallsBackUnstriped) {
-  // Small messages never stripe, so a multi-rail config cannot tear
-  // them: the same injection that kills a stripe above has nothing to
-  // bite on when the message takes the legacy single-send path.
-  sim::Transport t(2);
-  sim::TransportConfig tc;
-  tc.rails = 4;
-  tc.stripe_min_bytes = 1 << 20;
-  sim::Comm sender(t, 0, nullptr, &tc);
-  ByteBuf payload(2048);
-  for (std::size_t i = 0; i < payload.size(); ++i)
-    payload[i] = static_cast<std::byte>(i & 0xff);
-  ByteBuf copy = payload;
-  auto sreq = sender.stripe_isend(1, 9, std::move(copy));
-  sender.wait(sreq);
-  EXPECT_EQ(sender.stats().stripes_sent, 0);
-  sim::Comm recv(t, 1, nullptr, &tc);
-  ByteBuf out;
-  auto rreq = recv.stripe_irecv(0, 9, &out, 2048);
-  recv.wait(rreq);
-  EXPECT_EQ(out, payload);
+  tc.persistent = true;
+  t.inject_truncate(/*src=*/0, /*dst=*/1, sim::kChannelTagBase,
+                    /*keep_bytes=*/40);
+  const std::string what = channel_transfer_error(t, tc, 2048);
+  EXPECT_NE(what.find("delivered 40B into a 2048B slot"), std::string::npos)
+      << what;
 }
 
 TEST(TransportFailures, StaleChannelGeometryRejected) {
@@ -340,7 +341,6 @@ TEST(TransportFailures, StaleChannelGeometryRejected) {
   // must refuse on both ends rather than truncate or pad traffic.
   sim::Transport t(2);
   sim::TransportConfig tc;
-  tc.rails = 1;
   tc.persistent = true;
   std::vector<std::string> errors(2);
   std::vector<std::thread> threads;

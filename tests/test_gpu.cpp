@@ -347,7 +347,7 @@ TEST(Hierarchy, SharedStagingRoundTrip) {
 
   for (const mesh::LayoutKind kind :
        {mesh::LayoutKind::AoS, mesh::LayoutKind::SoA}) {
-    const mesh::DatLayout lay = mesh::DatLayout::make(kind, dim, m, 8);
+    const mesh::DatLayout lay = mesh::DatLayout::make(kind, dim, m);
     std::vector<double> data(lay.alloc_doubles(), 0.0);
     for (lidx_t t = 0; t < m; ++t)
       for (int c = 0; c < dim; ++c)

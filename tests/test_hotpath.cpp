@@ -269,6 +269,37 @@ TEST(PlanReuse, Op2LoopsAreAllocationFreeAfterWarmup) {
   }
 }
 
+TEST(PlanReuse, VcycleAndChainAreAllocationFreeAfterWarmup) {
+  // The V-cycle's exchanges are asymmetric — some ranks send more
+  // messages than they receive — unlike the synthetic chain's. Staging
+  // buffers must still find their way back to the ranks that pack them,
+  // with the chain on per-loop OP2 and on CA alike.
+  for (const bool ca : {false, true}) {
+    apps::mgcfd::Problem prob = apps::mgcfd::build_problem(6000, 3, 1);
+    core::World w(std::move(prob.mg.mesh), hotpath_config(4, ca));
+    auto steps = [&](int n) {
+      w.run([&](core::Runtime& rt) {
+        const auto h = apps::mgcfd::resolve_handles(rt, prob);
+        for (int t = 0; t < n; ++t) {
+          apps::mgcfd::solver_iteration(rt, h);
+          apps::mgcfd::run_synthetic_chain(rt, h, 4);
+        }
+      });
+    };
+    steps(3);  // warm-up: plans, channels, pool populations
+    w.clear_metrics();
+    steps(4);
+    std::int64_t msgs = 0;
+    for (const auto& metrics : {w.loop_metrics(), w.chain_metrics()}) {
+      for (const auto& [name, m] : metrics) {
+        msgs += m.msgs;
+        EXPECT_EQ(m.staging_allocs, 0) << name << (ca ? " (CA)" : " (OP2)");
+      }
+    }
+    EXPECT_GT(msgs, 0);
+  }
+}
+
 TEST(PlanReuse, BatchedDispatchUsesOneRegionPerPhase) {
   // With batching on, a direct loop over N owned elements must issue O(1)
   // region calls, not O(N).

@@ -1,6 +1,6 @@
 // Property suite for the SIMD data plane (mesh/layout + the layout-aware
-// halo pack): descriptor invariants, transpose round-trips, AoSoA tail
-// blocks, aligned storage, wire-format equality between the reference and
+// halo pack): descriptor invariants, transpose round-trips, SoA plane
+// padding, aligned storage, wire-format equality between the reference and
 // plan-driven grouped packs, and the rank<->global boundary transposes.
 #include <gtest/gtest.h>
 
@@ -34,8 +34,9 @@ std::vector<double> random_rows(lidx_t elems, int dim, std::uint64_t seed) {
 }
 
 TEST(DatLayout, AosIsLegacyRowMajor) {
-  const DatLayout lay = DatLayout::make(LayoutKind::AoS, 5, 37, 8);
+  const DatLayout lay = DatLayout::make(LayoutKind::AoS, 5, 37);
   EXPECT_EQ(lay.padded, 37);
+  EXPECT_EQ(lay.estride, 5);
   EXPECT_EQ(lay.cstride, 1);
   EXPECT_EQ(lay.alloc_doubles(), 37u * 5u);
   for (lidx_t i = 0; i < 37; ++i)
@@ -45,9 +46,10 @@ TEST(DatLayout, AosIsLegacyRowMajor) {
 }
 
 TEST(DatLayout, SoaComponentPlanesAreUnitStride) {
-  const DatLayout lay = DatLayout::make(LayoutKind::SoA, 3, 37, 8);
+  const DatLayout lay = DatLayout::make(LayoutKind::SoA, 3, 37);
   EXPECT_GE(lay.padded, 37);
   EXPECT_EQ(lay.padded % 8, 0) << "planes must start cache-aligned";
+  EXPECT_EQ(lay.estride, 1);
   EXPECT_EQ(lay.cstride, lay.padded);
   for (lidx_t i = 0; i + 1 < 37; ++i)
     for (int c = 0; c < 3; ++c)
@@ -55,26 +57,9 @@ TEST(DatLayout, SoaComponentPlanesAreUnitStride) {
           << "component " << c << " not unit-stride at " << i;
 }
 
-TEST(DatLayout, AosoaTailBlocks) {
-  // 13 elements in blocks of 4: three full blocks + one tail block,
-  // padded to 16 slots.
-  const DatLayout lay = DatLayout::make(LayoutKind::AoSoA, 2, 13, 4);
-  EXPECT_EQ(lay.block, 4);
-  EXPECT_EQ(lay.padded, 16);
-  EXPECT_EQ(lay.cstride, 4);
-  EXPECT_EQ(lay.alloc_doubles(), 32u);
-  // Within a block, components are SoA; across blocks, rows of B*dim.
-  EXPECT_EQ(lay.offset(0, 0), 0u);
-  EXPECT_EQ(lay.offset(1, 0), 1u);
-  EXPECT_EQ(lay.offset(0, 1), 4u);
-  EXPECT_EQ(lay.offset(4, 0), 8u);   // second block
-  EXPECT_EQ(lay.offset(12, 1), 28u); // tail block
-}
-
 TEST(DatLayout, OffsetsAreABijectionIntoAllocation) {
-  for (const LayoutKind kind :
-       {LayoutKind::AoS, LayoutKind::SoA, LayoutKind::AoSoA}) {
-    const DatLayout lay = DatLayout::make(kind, 3, 29, 8);
+  for (const LayoutKind kind : {LayoutKind::AoS, LayoutKind::SoA}) {
+    const DatLayout lay = DatLayout::make(kind, 3, 29);
     std::set<std::size_t> seen;
     for (lidx_t i = 0; i < 29; ++i) {
       for (int c = 0; c < 3; ++c) {
@@ -89,10 +74,9 @@ TEST(DatLayout, OffsetsAreABijectionIntoAllocation) {
 }
 
 TEST(DatLayout, RoundTripTranspose) {
-  for (const LayoutKind kind :
-       {LayoutKind::AoS, LayoutKind::SoA, LayoutKind::AoSoA}) {
+  for (const LayoutKind kind : {LayoutKind::AoS, LayoutKind::SoA}) {
     for (const lidx_t elems : {0, 1, 7, 8, 64, 129}) {
-      const DatLayout lay = DatLayout::make(kind, 4, elems, 8);
+      const DatLayout lay = DatLayout::make(kind, 4, elems);
       const std::vector<double> rows = random_rows(elems, 4, 11);
       std::vector<double> store(lay.alloc_doubles(), -1.0);
       mesh::to_layout(rows.data(), lay, store.data());
@@ -104,7 +88,9 @@ TEST(DatLayout, RoundTripTranspose) {
 }
 
 TEST(DatLayout, PaddingIsZeroFilled) {
-  const DatLayout lay = DatLayout::make(LayoutKind::AoSoA, 2, 13, 8);
+  // 13 elements pad each SoA plane to 16 slots.
+  const DatLayout lay = DatLayout::make(LayoutKind::SoA, 2, 13);
+  EXPECT_EQ(lay.padded, 16);
   const std::vector<double> rows = random_rows(13, 2, 12);
   std::vector<double> store(lay.alloc_doubles(), -7.0);
   mesh::to_layout(rows.data(), lay, store.data());
@@ -116,14 +102,8 @@ TEST(DatLayout, PaddingIsZeroFilled) {
     if (valid.count(off) == 0) EXPECT_EQ(store[off], 0.0) << off;
 }
 
-TEST(DatLayout, NonPowerOfTwoBlockRaises) {
-  EXPECT_THROW(DatLayout::make(LayoutKind::AoSoA, 2, 16, 6), Error);
-  EXPECT_THROW(DatLayout::make(LayoutKind::AoSoA, 2, 16, 0), Error);
-}
-
 TEST(DatLayout, NamesRoundTrip) {
-  for (const LayoutKind kind :
-       {LayoutKind::AoS, LayoutKind::SoA, LayoutKind::AoSoA})
+  for (const LayoutKind kind : {LayoutKind::AoS, LayoutKind::SoA})
     EXPECT_EQ(mesh::layout_by_name(mesh::layout_name(kind)), kind);
   EXPECT_THROW(mesh::layout_by_name("rows"), Error);
 }
@@ -131,13 +111,12 @@ TEST(DatLayout, NamesRoundTrip) {
 TEST(LayoutConfig, ResolvePrecedence) {
   mesh::LayoutConfig cfg;
   EXPECT_FALSE(cfg.enabled());  // default config is pure AoS
-  cfg.kind = LayoutKind::SoA;
-  cfg.per_set["nodes"] = LayoutKind::AoSoA;
+  cfg.per_set["nodes"] = LayoutKind::SoA;
   cfg.per_dat["d3"] = LayoutKind::AoS;
   EXPECT_TRUE(cfg.enabled());
-  EXPECT_EQ(cfg.resolve("nodes", "d3"), LayoutKind::AoS);   // per-dat wins
-  EXPECT_EQ(cfg.resolve("nodes", "q"), LayoutKind::AoSoA);  // per-set next
-  EXPECT_EQ(cfg.resolve("cells", "q"), LayoutKind::SoA);    // then default
+  EXPECT_EQ(cfg.resolve("nodes", "d3"), LayoutKind::AoS);  // per-dat wins
+  EXPECT_EQ(cfg.resolve("nodes", "q"), LayoutKind::SoA);   // per-set next
+  EXPECT_EQ(cfg.resolve("cells", "q"), LayoutKind::AoS);   // then default
 }
 
 // -- Layout-aware halo pack. --------------------------------------------
@@ -145,7 +124,7 @@ TEST(LayoutConfig, ResolvePrecedence) {
 TEST(GatherRegion, NullAndAosDescriptorsMatchLegacyRows) {
   const lidx_t elems = 40;
   const int dim = 3;
-  const DatLayout aos = DatLayout::make(LayoutKind::AoS, dim, elems, 8);
+  const DatLayout aos = DatLayout::make(LayoutKind::AoS, dim, elems);
   const std::vector<double> rows = random_rows(elems, dim, 21);
   const LIdxVec idx = {3, 17, 0, 39, 8, 8};
 
@@ -162,9 +141,8 @@ TEST(GatherRegion, UnpackInvertsGatherUnderEveryLayout) {
   const lidx_t elems = 53;
   const int dim = 4;
   const LIdxVec idx = {0, 52, 13, 27, 5, 40, 41};
-  for (const LayoutKind kind :
-       {LayoutKind::AoS, LayoutKind::SoA, LayoutKind::AoSoA}) {
-    const DatLayout lay = DatLayout::make(kind, dim, elems, 8);
+  for (const LayoutKind kind : {LayoutKind::AoS, LayoutKind::SoA}) {
+    const DatLayout lay = DatLayout::make(kind, dim, elems);
     const std::vector<double> rows = random_rows(elems, dim, 31);
     std::vector<double> store(lay.alloc_doubles());
     mesh::to_layout(rows.data(), lay, store.data());
@@ -200,10 +178,9 @@ TEST(GroupedPack, ReferenceMatchesPlanUnderEveryLayout) {
   const halo::SetLayout& nl = plan.layout(0, q.nodes);
   const halo::SetLayout& cl = plan.layout(0, q.cells);
 
-  for (const LayoutKind kind :
-       {LayoutKind::AoS, LayoutKind::SoA, LayoutKind::AoSoA}) {
-    const DatLayout nlay = DatLayout::make(kind, 5, nl.total, 8);
-    const DatLayout clay = DatLayout::make(kind, 2, cl.total, 8);
+  for (const LayoutKind kind : {LayoutKind::AoS, LayoutKind::SoA}) {
+    const DatLayout nlay = DatLayout::make(kind, 5, nl.total);
+    const DatLayout clay = DatLayout::make(kind, 2, cl.total);
     const std::vector<double> nrows = random_rows(nl.total, 5, 41);
     const std::vector<double> crows = random_rows(cl.total, 2, 42);
     std::vector<double> nstore(nlay.alloc_doubles());
@@ -227,21 +204,20 @@ TEST(GroupedPack, ReferenceMatchesPlanUnderEveryLayout) {
 
 // -- Rank<->global boundary. --------------------------------------------
 
-core::WorldConfig layout_world_cfg(LayoutKind kind, int block = 8) {
+core::WorldConfig layout_world_cfg(LayoutKind kind) {
   core::WorldConfig cfg;
   cfg.nranks = 3;
   cfg.halo_depth = 2;
   cfg.validate = true;
   cfg.layout.kind = kind;
-  cfg.layout.aosoa_block = block;
   return cfg;
 }
 
 TEST(WorldLayout, FetchDatRoundTripsAcrossLayouts) {
   // Build a world, run nothing: fetch_dat must reproduce the global
   // arrays exactly through gather_local -> scatter_owned, whatever the
-  // rank storage layout (17^3 nodes: rank-local counts are not block
-  // multiples, so tail blocks are exercised).
+  // rank storage layout (17^3 nodes: rank-local counts are not
+  // cache-line multiples, so padded SoA planes are exercised).
   mesh::Hex3D h = mesh::make_hex3d(17, 17, 17);
   const gidx_t n = h.mesh.set(h.nodes).size;
   std::vector<double> init(static_cast<std::size_t>(n) * 3);
@@ -249,8 +225,7 @@ TEST(WorldLayout, FetchDatRoundTripsAcrossLayouts) {
   for (auto& v : init) v = rng.next_range(-1.0, 1.0);
   const mesh::dat_id d3 = h.mesh.add_dat("d3", h.nodes, 3, init);
 
-  for (const LayoutKind kind :
-       {LayoutKind::AoS, LayoutKind::SoA, LayoutKind::AoSoA}) {
+  for (const LayoutKind kind : {LayoutKind::AoS, LayoutKind::SoA}) {
     core::World w(h.mesh, layout_world_cfg(kind));
     w.run([](core::Runtime&) {});
     EXPECT_EQ(w.fetch_dat(d3), init) << mesh::layout_name(kind);
@@ -262,9 +237,8 @@ TEST(WorldLayout, RankStorageAlignedAndDescribed) {
   const mesh::dat_id d2 =
       h.mesh.add_dat("d2", h.nodes, 2);
 
-  for (const LayoutKind kind :
-       {LayoutKind::AoS, LayoutKind::SoA, LayoutKind::AoSoA}) {
-    core::World w(h.mesh, layout_world_cfg(kind, 4));
+  for (const LayoutKind kind : {LayoutKind::AoS, LayoutKind::SoA}) {
+    core::World w(h.mesh, layout_world_cfg(kind));
     w.run([&](core::Runtime& rt) {
       const core::Dat d = rt.dat("d2");
       const mesh::DatLayout& lay = rt.dat_layout(d);
@@ -274,6 +248,103 @@ TEST(WorldLayout, RankStorageAlignedAndDescribed) {
       EXPECT_TRUE(util::cache_aligned(rt.dat_data(d)));
     });
   }
+}
+
+// -- Exact halo contents after an exchange. ------------------------------
+//
+// In the distributed-ranges style: every owned element is set to a known
+// function of its global id, an exchange runs, and then every halo slot
+// the exchange refreshes must hold exactly its owner's value — checked
+// directly in the rank's array, under every layout, executor and
+// transport the wire and addressing code serve.
+
+double owner_value(gidx_t g, int c) { return 1000.0 + 4.0 * g + c; }
+
+/// Dirties dat "q" (dim 3 on nodes) with owned values owner_value(gid),
+/// runs a two-loop chain reading it through e2n, and returns per rank
+/// the count of wrong values in halo layers 1..`layers` (-1 when a rank
+/// checked nothing). With the chain enabled the CA executor refreshes
+/// every layer in one grouped exchange; otherwise the loops run on
+/// per-loop OP2, which refreshes layer 1.
+std::vector<std::int64_t> halo_errors(LayoutKind kind, bool ca,
+                                      bool persistent, int layers) {
+  mesh::Quad2D m = mesh::make_quad2d(24, 24);
+  const gidx_t n = m.mesh.set(m.nodes).size;
+  std::vector<double> gid(static_cast<std::size_t>(n));
+  for (gidx_t g = 0; g < n; ++g) gid[static_cast<std::size_t>(g)] = g;
+  m.mesh.add_dat("gid", m.nodes, 1, gid);
+  // Stale halo copies start at -1, so a slot the exchange missed shows.
+  m.mesh.add_dat("q", m.nodes, 3,
+                 std::vector<double>(static_cast<std::size_t>(n) * 3, -1.0));
+  m.mesh.add_dat("r", m.nodes, 1);
+  m.mesh.add_dat("e", m.edges, 1);
+  core::WorldConfig cfg = layout_world_cfg(kind);
+  cfg.nranks = 4;
+  cfg.transport.persistent = persistent;
+  if (ca) cfg.chains.enable("halo_probe");
+  core::World w(m.mesh, cfg);
+
+  std::vector<std::int64_t> wrong(4, -1);
+  w.run([&](core::Runtime& rt) {
+    const core::Set nodes = rt.set("nodes");
+    const core::Map e2n = rt.map("e2n");
+    const core::Dat q = rt.dat("q");
+    const core::Dat r = rt.dat("r");
+    // Kernels index through stride-aware views (auto): under SoA a raw
+    // double* would not reach component 1.
+    rt.par_loop(
+        "set_owned", nodes,
+        [](auto qv, auto g) {
+          for (int c = 0; c < 3; ++c)
+            qv[c] = owner_value(static_cast<gidx_t>(g[0]), c);
+        },
+        core::arg_dat(q, core::Access::WRITE),
+        core::arg_dat(rt.dat("gid"), core::Access::READ));
+    // probe_read reads what probe_inc wrote through the map, so under CA
+    // probe_inc runs over halo edges and needs q at every layer.
+    rt.chain_begin("halo_probe");
+    rt.par_loop(
+        "probe_inc", rt.set("edges"),
+        [](auto a, auto b, auto ra, auto rb) {
+          ra[0] += a[1];
+          rb[0] += b[2];
+        },
+        core::arg_dat(q, 0, e2n, core::Access::READ),
+        core::arg_dat(q, 1, e2n, core::Access::READ),
+        core::arg_dat(r, 0, e2n, core::Access::INC),
+        core::arg_dat(r, 1, e2n, core::Access::INC));
+    rt.par_loop(
+        "probe_read", rt.set("edges"),
+        [](auto a, auto b, auto e) { e[0] = a[0] - b[0]; },
+        core::arg_dat(r, 0, e2n, core::Access::READ),
+        core::arg_dat(r, 1, e2n, core::Access::READ),
+        core::arg_dat(rt.dat("e"), core::Access::WRITE));
+    rt.chain_end();
+
+    const halo::SetLayout& sl = rt.layout(nodes);
+    const mesh::DatLayout& lay = rt.dat_layout(q);
+    const double* data = rt.dat_data(q);
+    std::int64_t checked = 0, bad = 0;
+    for (int k = 1; k <= layers; ++k)
+      for (const auto& [b, e] : {sl.exec_layer(k), sl.nonexec_layer(k)})
+        for (lidx_t i = b; i < e; ++i)
+          for (int c = 0; c < 3; ++c, ++checked)
+            bad += data[lay.offset(i, c)] !=
+                   owner_value(sl.local_to_global[static_cast<std::size_t>(i)],
+                               c);
+    wrong[static_cast<std::size_t>(rt.rank())] = checked > 0 ? bad : -1;
+  });
+  return wrong;
+}
+
+TEST(HaloContents, EveryHaloSlotHoldsItsOwnersValue) {
+  for (const LayoutKind kind : {LayoutKind::AoS, LayoutKind::SoA})
+    for (const bool ca : {false, true})
+      for (const bool persistent : {false, true})
+        EXPECT_EQ(halo_errors(kind, ca, persistent, ca ? 2 : 1),
+                  std::vector<std::int64_t>(4, 0))
+            << mesh::layout_name(kind) << (ca ? " CA" : " OP2")
+            << (persistent ? " persistent" : "");
 }
 
 }  // namespace
