@@ -17,32 +17,21 @@
 //   --vector-width=X override the SIMD speedup factor applied for a
 //                  non-AoS layout (default: kDefaultLayoutSpeedup, the
 //                  measured direct-loop A/B ratio from BENCH_simd.json)
-//   --taskgraph    model dependency-driven block sweeps instead of
-//                  colour barriers (Machine::taskgraph; executing
-//                  benches also set WorldConfig::taskgraph)
 //   --rails=N      model N network rails (0 = keep the machine preset's
 //                  rail count; overrides Machine::net.net_rails — the
 //                  runtime sends one message per neighbour regardless)
-//   --persistent   pre-negotiate persistent channels per cached exchange
-//                  plan (WorldConfig::transport.persistent)
-//   --backend=K    transport backend {sim,mpi}; mpi is the real backend
-//                  when built with -DOP2CA_MPI=ON, a protocol-identical
-//                  in-process stub otherwise
 //   --calibration=F  fold a bench_calibrate BENCH_calibration.json into
 //                  the machine preset's network model (per-tier measured
 //                  latency/bandwidth/rails replace the preset's guesses;
 //                  an explicit --rails still wins over the measured rail
 //                  count)
-//   --device       device-resident execution (WorldConfig::device for
-//                  executing benches; model benches replace the GPU
+//   --device       model device-resident execution: replace the GPU
 //                  preset's extra_latency_s lump with the derived
-//                  Machine::DeviceTier Lambda)
+//                  Machine::DeviceTier Lambda
 //   --device-mode=K  host<->device transfer schedule {staged,pipelined}
 //                  (pipelined overlaps PCIe with compute; default)
 //   --pipeline-stages=N  software-pipeline depth for pipelined mode
 //                  (default 3: H2D | compute | D2H)
-//   --device-staging=N  bytes per pinned staging buffer bounced through
-//                  the rank BufferPool (default 1 MiB)
 //   --tile=N       temporal chain tiling: fuse N consecutive invocations
 //                  of each chain into one CA epoch (model benches price
 //                  CA with t_ca_chain_tiled; executing benches set
@@ -86,15 +75,11 @@ struct BenchConfig {
   int threads = 1;
   mesh::LayoutKind layout = mesh::LayoutKind::AoS;
   double vector_width = 0;  ///< 0 = derive from `layout`.
-  bool taskgraph = false;
   int rails = 0;  ///< 0 = machine preset's rail count.
-  bool persistent = false;
-  std::string backend = "sim";
   std::string calibration;  ///< BENCH_calibration.json path; empty = presets.
   bool device = false;
   std::string device_mode = "pipelined";
   int pipeline_stages = 3;
-  std::int64_t device_staging = 1 << 20;
   int tile = 1;
 
   static BenchConfig from_options(const Options& opt) {
@@ -105,19 +90,14 @@ struct BenchConfig {
     cfg.threads = static_cast<int>(opt.get_int("threads", 1));
     cfg.layout = mesh::layout_by_name(opt.get_string("layout", "aos"));
     cfg.vector_width = opt.get_double("vector-width", 0);
-    cfg.taskgraph = opt.get_bool("taskgraph", false);
     cfg.rails = static_cast<int>(opt.get_int("rails", 0));
-    cfg.persistent = opt.get_bool("persistent", false);
-    cfg.backend = opt.get_string("backend", "sim");
     cfg.calibration = opt.get_string("calibration", "");
     cfg.device = opt.get_bool("device", false);
     cfg.device_mode = opt.get_string("device-mode", "pipelined");
     cfg.pipeline_stages =
         static_cast<int>(opt.get_int("pipeline-stages", 3));
-    cfg.device_staging = opt.get_int("device-staging", 1 << 20);
     cfg.tile = static_cast<int>(opt.get_int("tile", 1));
-    sim::backend_by_name(cfg.backend);  // validate the name early
-    gpu::device_mode_by_name(cfg.device_mode);  // likewise
+    gpu::device_mode_by_name(cfg.device_mode);  // validate the name early
     OP2CA_REQUIRE(cfg.tile >= 1, "--tile must be >= 1");
     OP2CA_REQUIRE(cfg.scale >= 1, "--scale must be >= 1");
     OP2CA_REQUIRE(cfg.threads >= 1, "--threads must be >= 1");
@@ -126,8 +106,6 @@ struct BenchConfig {
                   "--rails must be in [0, 8]");
     OP2CA_REQUIRE(cfg.pipeline_stages >= 1,
                   "--pipeline-stages must be >= 1");
-    OP2CA_REQUIRE(cfg.device_staging >= 4096,
-                  "--device-staging must be >= 4096");
     return cfg;
   }
 
@@ -136,7 +114,6 @@ struct BenchConfig {
   /// non-AoS layout divides them by Machine::vector_width.
   model::Machine apply_threads(model::Machine mach) const {
     mach.threads_per_rank = threads;
-    mach.taskgraph = taskgraph;
     if (vector_width > 0)
       mach.vector_width = vector_width;
     else if (layout != mesh::LayoutKind::AoS)
@@ -159,25 +136,12 @@ struct BenchConfig {
     }
     return mach;
   }
-
-  /// Device knobs as a WorldConfig ingredient (benches that execute
-  /// loops rather than evaluate the model).
-  gpu::DeviceConfig device_config() const {
-    gpu::DeviceConfig dc;
-    dc.enabled = device;
-    dc.mode = gpu::device_mode_by_name(device_mode);
-    dc.pipeline_stages = pipeline_stages;
-    dc.staging_bytes = static_cast<std::size_t>(device_staging);
-    return dc;
-  }
 };
 
 inline std::set<std::string> standard_option_names() {
-  return {"scale",      "csv",     "calibrate",  "threads",
-          "layout",     "vector-width", "taskgraph",
-          "rails",      "persistent",  "backend",     "calibration",
-          "device",     "device-mode", "pipeline-stages",
-          "device-staging", "tile"};
+  return {"scale",  "csv",         "calibrate",   "threads",
+          "layout", "vector-width", "rails",       "calibration",
+          "device", "device-mode",  "pipeline-stages", "tile"};
 }
 
 /// Paper mesh sizes by label.

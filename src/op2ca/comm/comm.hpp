@@ -78,7 +78,7 @@ private:
 ///
 /// A Comm belongs to exactly one rank thread, with one exception: isend /
 /// channel_isend are safe to call concurrently from that
-/// rank's pool workers (taskgraph mode posts pack isends from whichever
+/// rank's pool workers (a pooled rank posts pack isends from whichever
 /// worker runs the pack task). Sends serialise per DESTINATION — one
 /// mutex per peer — so concurrent pack tasks aimed at different
 /// neighbours post without contending, while per-(src,dst,tag) FIFO

@@ -22,7 +22,7 @@
 // finalize runs at process exit), so test binaries that build several
 // Worlds in sequence neither double-init nor finalize under a live
 // sibling. A thread level below MPI_THREAD_SERIALIZED fails loudly:
-// taskgraph pack workers post sends concurrently under one mutex, which
+// pool workers running pack tasks post sends concurrently under one mutex, which
 // SERIALIZED permits but SINGLE/FUNNELED do not.
 #pragma once
 

@@ -8,35 +8,33 @@
 //  * Loops without indirect writes split regions into contiguous chunks,
 //    one per pool thread. Every element writes only its own rows, so any
 //    chunking is race-free and bitwise-identical to serial execution.
-//  * Loops with indirect writes run colour-ordered sweeps: a greedy
-//    colouring of the iteration set (conflict = two elements sharing a
-//    target through any written-dat map) is computed once per (set,
-//    conflict maps) and cached in RankState next to the exchange plans.
-//    Colours execute in ascending order with a pool barrier between
-//    them; within a colour no two elements touch the same written
-//    element, so the intra-colour split across threads cannot affect any
-//    memory cell. Results are therefore a pure function of the colouring
-//    — deterministic at every pool width — though increment sums
-//    reassociate relative to the width-1 index order.
+//  * Loops with indirect writes run one dependency-driven block sweep.
+//    The iteration set is cut into contiguous blocks whose size derives
+//    from the rank-local set size alone (kBlockDivisor / kMaxBlock), and
+//    the blocks are coloured so that two blocks sharing a written target
+//    (through any written-dat map) differ in colour. That block-conflict
+//    DAG — edges oriented low colour -> high colour — is built once per
+//    (set, conflict maps), compiled once per (loop, region) into dense
+//    successor/indegree arrays, and executed by the pool's work-stealing
+//    run_graph: a block becomes runnable the moment its conflicting
+//    lower-coloured neighbours finish, with no barrier. Ranges run each
+//    block as one range body; sorted gather lists (the CA exec-halo
+//    slices) run each block's sub-slice run-aware. Every conflicting
+//    block pair is ordered by the DAG and intra-block order is
+//    ascending, so each memory cell sees the same write sequence at
+//    every pool width: results are bitwise-identical across widths >= 2,
+//    though increment sums reassociate relative to the width-1 serial
+//    region. Executors fold halo-pack tasks into the epoch through
+//    run_range_tasks: a pack is a root and the blocks writing its read
+//    rows depend on it, so staging overlaps the bulk of core compute.
 //  * Loops reducing into a global (arg_gbl INC) fall back to the serial
 //    region: the single accumulation buffer is inherently order- and
 //    sharing-sensitive.
 //
-// Taskgraph mode (WorldConfig::taskgraph) replaces the per-colour
-// barriers of the indirect-write path with a dependency-driven sweep: the
-// block-conflict DAG (edges oriented low colour -> high colour) is
-// compiled once per (loop, region) into dense successor/indegree arrays
-// and executed by the pool's work-stealing run_graph. A block's next
-// chunk becomes runnable the moment its conflicting neighbours of lower
-// colour finish — no barrier. Because every pair of conflicting blocks is
-// ordered by the DAG and intra-block order is ascending, each memory cell
-// sees the same write sequence at every pool width, so results are
-// bitwise-identical across widths (and to the blocked colour-barrier
-// sweep at the same block size). Executors additionally fold halo-pack
-// tasks into the epoch through run_range_tasks: a pack is a root and the
-// blocks writing its read rows depend on it, so staging overlaps the bulk
-// of core compute.
+// Device mode with hierarchical colouring replaces the block sweep of
+// ranges with the two-level device schedule (sweep_hier_colour).
 #include <algorithm>
+#include <atomic>
 
 #include "op2ca/core/runtime_detail.hpp"
 #include "op2ca/util/error.hpp"
@@ -84,6 +82,18 @@ std::vector<std::size_t> chunk_offsets(std::size_t n, int parts) {
   }
   off[p] = n;
   return off;
+}
+
+/// Elements per dependency block, derived from the rank-local set size
+/// alone — never from the pool width, so the block DAG (and with it every
+/// result) is the same at every width. total / kBlockDivisor keeps small
+/// sets at enough blocks to spread over a pool; kMaxBlock caps large sets
+/// at cache-sized blocks.
+constexpr lidx_t kBlockDivisor = 64;
+constexpr lidx_t kMaxBlock = 256;
+
+lidx_t graph_block_elems(lidx_t total) {
+  return std::clamp<lidx_t>(total / kBlockDivisor, 2, kMaxBlock);
 }
 
 /// Contiguous-chunk parallel range: safe only for loops whose writes are
@@ -162,46 +172,10 @@ std::int64_t run_aware_span(const LoopRecord& rec, const lidx_t* idx,
   return regions;
 }
 
-/// One colour class (or class subrange), split across the pool. With
-/// per-element colouring (block <= 1) conflict-freedom within the class
-/// makes any split race-free and width-independent; with blocked
-/// colouring the conflict-free unit is the block, so chunk boundaries
-/// advance to the next block edge (a block never straddles threads) and
-/// each chunk executes run-aware. Either way intra-chunk order is
-/// ascending, so results are a pure function of the colouring.
-void sweep_class(RankState& st, const LoopRecord& rec, const lidx_t* idx,
-                 std::size_t n, lidx_t block) {
-  if (n == 0) return;
-  if (block <= 1) {
-    run_list_chunked(st, rec, idx, n);
-    return;
-  }
-  util::ThreadPool& pool = *st.pool;
-  std::vector<std::size_t> off = chunk_offsets(n, pool.threads());
-  for (std::size_t t = 1; t + 1 < off.size(); ++t) {
-    std::size_t o = std::max(off[t], off[t - 1]);
-    while (o > 0 && o < n && idx[o] / block == idx[o - 1] / block) ++o;
-    off[t] = o;
-  }
-  std::vector<std::int64_t> regions(
-      static_cast<std::size_t>(pool.threads()), 0);
-  pool.run([&](int t) {
-    const std::size_t b = off[static_cast<std::size_t>(t)];
-    const std::size_t e = off[static_cast<std::size_t>(t) + 1];
-    if (b < e)
-      regions[static_cast<std::size_t>(t)] =
-          run_aware_span(rec, idx + b, e - b);
-  });
-  for (int t = 0; t < pool.threads(); ++t) {
-    st.dispatch_regions += regions[static_cast<std::size_t>(t)];
-    st.dispatch_chunks += regions[static_cast<std::size_t>(t)] > 0;
-  }
-}
-
 /// Builds the ColourMapViews of a conflict-map list (the -1 sentinel
 /// becomes an identity view backed by `identity`, which must outlive the
-/// returned views). Shared by the colouring and the block-graph builders
-/// so both see the exact same conflict structure.
+/// returned views). Shared by the block-graph and the hierarchical
+/// device builders so both see the exact same conflict structure.
 std::vector<mesh::ColourMapView> conflict_views(
     RankState& st, mesh::set_id set, const std::vector<mesh::map_id>& maps,
     LIdxVec& identity) {
@@ -279,25 +253,10 @@ void sweep_hier_colour(RankState& st, const LoopRecord& rec,
   }
 }
 
-}  // namespace
-
-const mesh::Colouring& loop_colouring(RankState& st, const LoopRecord& rec) {
-  const std::vector<mesh::map_id> maps = conflict_maps(rec);
-  const auto key = std::make_pair(rec.set, maps);
-  auto it = st.colourings.find(key);
-  if (it != st.colourings.end()) return it->second;
-
-  const halo::SetLayout& lay = st.layout(rec.set);
-  LIdxVec identity;
-  const std::vector<mesh::ColourMapView> views =
-      conflict_views(st, rec.set, maps, identity);
-  mesh::Colouring col =
-      st.colour_block > 1
-          ? mesh::block_colouring(lay.total, views, st.colour_block)
-          : mesh::greedy_colouring(lay.total, views);
-  return st.colourings.emplace(key, std::move(col)).first->second;
-}
-
+/// The rank's cached hierarchical two-level schedule for `rec`'s
+/// conflict structure (device mode): outer block colouring plus
+/// per-block inner element colouring under the shared-memory clamp.
+/// Built on first use, cached in RankState::hier_colourings.
 const gpu::HierColouring& loop_hier(RankState& st, const LoopRecord& rec) {
   const std::vector<mesh::map_id> maps = conflict_maps(rec);
   const auto key = std::make_pair(rec.set, maps);
@@ -321,17 +280,23 @@ const gpu::HierColouring& loop_hier(RankState& st, const LoopRecord& rec) {
   return st.hier_colourings.emplace(key, std::move(h)).first->second;
 }
 
+/// The rank's cached dependency graph for `rec`'s conflict structure (the
+/// maps through which the loop writes indirectly, plus an identity view
+/// when a written dat is also accessed directly): the block-conflict DAG
+/// of a block colouring at graph_block_elems granularity. Built on first
+/// use, cached in RankState::loop_graphs.
 LoopGraph& loop_graph(RankState& st, const LoopRecord& rec) {
   const std::vector<mesh::map_id> maps = conflict_maps(rec);
   const auto key = std::make_pair(rec.set, maps);
   auto it = st.loop_graphs.find(key);
   if (it != st.loop_graphs.end()) return it->second;
 
-  const mesh::Colouring& col = loop_colouring(st, rec);
   const halo::SetLayout& lay = st.layout(rec.set);
   LIdxVec identity;
   const std::vector<mesh::ColourMapView> views =
       conflict_views(st, rec.set, maps, identity);
+  const mesh::Colouring col = mesh::block_colouring(
+      lay.total, views, graph_block_elems(lay.total));
   LoopGraph lg;
   lg.maps = maps;
   lg.graph = mesh::block_conflict_graph(lay.total, views, col);
@@ -339,6 +304,8 @@ LoopGraph& loop_graph(RankState& st, const LoopRecord& rec) {
   lg.writer_blk.resize(views.size());
   return st.loop_graphs.emplace(key, std::move(lg)).first->second;
 }
+
+}  // namespace
 
 const mesh::OrderingQuality& loop_quality(RankState& st,
                                           const LoopRecord& rec) {
@@ -489,7 +456,7 @@ void append_pack_successors(RankState& st, const LoopRecord& rec,
       }
       const auto vit = std::find(lg.maps.begin(), lg.maps.end(), a.map);
       OP2CA_REQUIRE(vit != lg.maps.end(),
-                    "taskgraph: written map missing from conflict graph");
+                    "block graph: written map missing from conflict views");
       const auto v = static_cast<std::size_t>(vit - lg.maps.begin());
       build_writer_csr(st, lg, v, a.map);
       const auto& off = lg.writer_off[v];
@@ -509,11 +476,16 @@ void append_pack_successors(RankState& st, const LoopRecord& rec,
 /// [0, T), pack tasks ride along as ids [T, T + P) — roots whose
 /// successors are exactly the blocks writing their read rows. Block-block
 /// edges are untouched by the packs, so per-cell write order (and hence
-/// the result) is identical with and without staging folded in.
+/// the result) is identical with and without staging folded in. With
+/// `list` set (ascending, inside [begin, end)) each block task executes
+/// that block's sub-slice of the list run-aware instead of the whole
+/// block range; blocks the list skips are no-op tasks that still carry
+/// their ordering edges.
 std::int64_t run_graph_epoch(RankState& st, const LoopRecord& rec,
-                             LoopGraph& lg, const LoopGraph::Compiled& c,
-                             lidx_t begin, lidx_t end,
-                             std::span<PackTask> packs) {
+                             LoopGraph& lg, lidx_t begin, lidx_t end,
+                             std::span<PackTask> packs,
+                             const LIdxVec* list = nullptr) {
+  const LoopGraph::Compiled& c = compile_range(lg, begin, end);
   const lidx_t B = lg.graph.block_elems;
   const lidx_t b0 = c.first_block;
   const std::int32_t T = c.num_tasks;
@@ -541,26 +513,40 @@ std::int64_t run_graph_epoch(RankState& st, const LoopRecord& rec,
     ind = xind.data();
   }
 
+  std::atomic<std::int64_t> list_regions{0};
   const std::function<void(int)> body = [&](int t) {
-    if (t < T) {
-      const lidx_t b = b0 + static_cast<lidx_t>(t);
-      const lidx_t lo = std::max(begin, b * B);
-      const lidx_t hi = std::min(end, (b + 1) * B);
-      rec.range_body(lo, hi);
-    } else {
+    if (t >= T) {
       packs[static_cast<std::size_t>(t - T)].body();
+      return;
     }
+    const lidx_t b = b0 + static_cast<lidx_t>(t);
+    const lidx_t lo = std::max(begin, b * B);
+    const lidx_t hi = std::min(end, (b + 1) * B);
+    if (list == nullptr) {
+      rec.range_body(lo, hi);
+      return;
+    }
+    const auto first = std::lower_bound(list->begin(), list->end(), lo);
+    const auto last = std::lower_bound(first, list->end(), hi);
+    if (first == last) return;
+    list_regions += run_aware_span(rec, &*first,
+                                   static_cast<std::size_t>(last - first));
   };
   util::GraphStats stats;
   st.pool->run_graph(T + P, soff, succ, ind, body, &stats);
   st.dispatch_tasks += stats.tasks;
   st.dispatch_steals += stats.steals;
   st.dispatch_dep_wait += stats.dep_wait_seconds;
-  st.dispatch_regions += T;
+  st.dispatch_regions += list == nullptr ? T : list_regions.load();
   st.dispatch_chunks += T + P;
   st.dispatch_max_colours =
       std::max(st.dispatch_max_colours, lg.graph.num_colours);
-  return end - begin;
+  return list == nullptr ? end - begin
+                         : static_cast<std::int64_t>(list->size());
+}
+
+bool hier_device(const RankState& st) {
+  return st.device != nullptr && st.device->config().hierarchical;
 }
 
 }  // namespace
@@ -568,19 +554,15 @@ std::int64_t run_graph_epoch(RankState& st, const LoopRecord& rec,
 std::int64_t run_range_tasks(RankState& st, const LoopRecord& rec,
                              lidx_t begin, lidx_t end,
                              std::span<PackTask> packs) {
-  const bool graph =
-      st.taskgraph && st.pool != nullptr &&
-      !(st.device != nullptr && st.device->config().hierarchical) &&
-      !has_gbl_inc(rec) && rec.spec.has_indirect_write() && end > begin;
-  if (!graph) {
-    // Legacy order: stage first, then run the region — packs read
-    // pre-loop values either way.
+  // serial_dispatch never creates a pool, so it falls back here too.
+  if (st.pool == nullptr || has_gbl_inc(rec) ||
+      !rec.spec.has_indirect_write() || hier_device(st) || end <= begin) {
+    // Stage first, then run the region — packs read pre-loop values
+    // either way.
     for (PackTask& p : packs) p.body();
     return run_range(st, rec, begin, end);
   }
-  LoopGraph& lg = loop_graph(st, rec);
-  const LoopGraph::Compiled& c = compile_range(lg, begin, end);
-  return run_graph_epoch(st, rec, lg, c, begin, end, packs);
+  return run_graph_epoch(st, rec, loop_graph(st, rec), begin, end, packs);
 }
 
 std::int64_t run_range(RankState& st, const LoopRecord& rec, lidx_t begin,
@@ -602,9 +584,9 @@ std::int64_t run_range(RankState& st, const LoopRecord& rec, lidx_t begin,
   // Hierarchical device sweep (device mode): outer colours execute in
   // ascending order with a phase barrier; each phase launches its blocks
   // across the pool, every block running its inner-colour rounds
-  // serially. Wins over taskgraph — the device schedule is the point of
-  // device mode.
-  if (st.device != nullptr && st.device->config().hierarchical) {
+  // serially. Wins over the block graph — the device schedule is the
+  // point of device mode.
+  if (hier_device(st)) {
     const gpu::HierColouring& h = loop_hier(st, rec);
     st.dispatch_max_colours =
         std::max(st.dispatch_max_colours, h.blocks.num_colours);
@@ -625,26 +607,7 @@ std::int64_t run_range(RankState& st, const LoopRecord& rec, lidx_t begin,
     return end - begin;
   }
 
-  // Dependency-driven block sweep (taskgraph mode): the conflict DAG, not
-  // a per-colour barrier, orders conflicting blocks.
-  if (st.taskgraph) {
-    LoopGraph& lg = loop_graph(st, rec);
-    const LoopGraph::Compiled& c = compile_range(lg, begin, end);
-    return run_graph_epoch(st, rec, lg, c, begin, end, {});
-  }
-
-  // Colour-ordered sweep. Classes hold ascending indices, so the slice
-  // inside [begin, end) is a contiguous subrange found by binary search.
-  const mesh::Colouring& col = loop_colouring(st, rec);
-  st.dispatch_max_colours = std::max(st.dispatch_max_colours,
-                                     col.num_colours);
-  for (const LIdxVec& cls : col.classes) {
-    const auto lo = std::lower_bound(cls.begin(), cls.end(), begin);
-    const auto hi = std::lower_bound(lo, cls.end(), end);
-    sweep_class(st, rec, cls.data() + (lo - cls.begin()),
-                static_cast<std::size_t>(hi - lo), col.block_elems);
-  }
-  return end - begin;
+  return run_graph_epoch(st, rec, loop_graph(st, rec), begin, end, {});
 }
 
 std::int64_t run_list(RankState& st, const LoopRecord& rec,
@@ -663,23 +626,10 @@ std::int64_t run_list(RankState& st, const LoopRecord& rec,
   if (!rec.spec.has_indirect_write())
     return run_list_chunked(st, rec, idx.data(), idx.size());
 
-  // Bucket the list per colour (stable order — independent of width),
-  // then sweep the buckets colour by colour.
-  const mesh::Colouring& col = loop_colouring(st, rec);
-  st.dispatch_max_colours = std::max(st.dispatch_max_colours,
-                                     col.num_colours);
-  std::vector<LIdxVec>& buckets = st.colour_scratch;
-  if (buckets.size() < static_cast<std::size_t>(col.num_colours))
-    buckets.resize(static_cast<std::size_t>(col.num_colours));
-  for (auto& b : buckets) b.clear();
-  for (lidx_t i : idx)
-    buckets[static_cast<std::size_t>(col.colour[static_cast<std::size_t>(i)])]
-        .push_back(i);
-  for (int c = 0; c < col.num_colours; ++c)
-    sweep_class(st, rec, buckets[static_cast<std::size_t>(c)].data(),
-                buckets[static_cast<std::size_t>(c)].size(),
-                col.block_elems);
-  return static_cast<std::int64_t>(idx.size());
+  // Exec-halo lists are sorted ascending (core/slice), so the list spans
+  // [front, back] and each block owns a contiguous sub-slice of it.
+  return run_graph_epoch(st, rec, loop_graph(st, rec), idx.front(),
+                         idx.back() + 1, {}, &idx);
 }
 
 }  // namespace op2ca::core::detail

@@ -193,7 +193,7 @@ void execute_chain_ca_tiled(RankState& st, const std::string& name,
   ChainExchange* ex = nullptr;
   std::int64_t halo_elems = 0;
   std::vector<PackTask> packs;
-  const bool fold = st.taskgraph && st.pool != nullptr;
+  const bool fold = st.pool != nullptr;
   if (mask != 0) {
     ex = &chain_exchange(st, cp, mask, &plan_builds);
     // Rebind data pointers: dat storage can be re-gathered between runs
@@ -201,16 +201,13 @@ void execute_chain_ca_tiled(RankState& st, const std::string& name,
     for (std::size_t i = 0; i < ex->dats.size(); ++i)
       ex->specs[i].data = st.rank_dat(ex->dats[i]).data.data();
 
-    // Taskgraph mode folds each side's grouped pack into the first
+    // A pooled rank folds each side's grouped pack into the first
     // loop's core epoch as a graph task (the epoch drains before any
     // later loop runs, so only the first loop's writers need gating);
     // otherwise it runs right here. Staging buffers come off the rank
     // thread; request slots are preallocated so workers fill them without
-    // racing; receives post here. A folded pack runs inside a graph task,
-    // so it must not re-enter the pool: serial pack_grouped. Workers may
-    // post to different neighbours concurrently — Comm serialises per
-    // destination.
-    util::ThreadPool* pack_pool = fold ? nullptr : st.pool.get();
+    // racing; receives post here. Workers may post to different
+    // neighbours concurrently — Comm serialises per destination.
     std::size_t nslots = 0;
     for (const halo::GroupedPlan::Side& side : ex->plan.sides)
       nslots += (side.send_bytes > 0) + (side.recv_bytes > 0);
@@ -223,12 +220,12 @@ void execute_chain_ca_tiled(RankState& st, const std::string& name,
           halo_elems += static_cast<std::int64_t>(g.size());
         // Device-side grouped pack: metered here, on the rank thread.
         if (dev != nullptr) dev->stage_out(side.send_bytes);
-        auto pack = [&st, ex, &side, s, pack_pool,
+        auto pack = [&st, ex, &side, s,
                      out = &ex->requests[slot++],
                      buf = st.send_buffer(
                          side.recv_bytes > 0 ? &ex->recv_bufs[s] : nullptr,
                          side.q, kChainTag, side.send_bytes)]() mutable {
-          halo::pack_grouped(side, ex->specs, buf.data(), pack_pool);
+          halo::pack_grouped(side, ex->specs, buf.data());
           *out = post_send(st.comm, ex->send_channels, s, side.q, kChainTag,
                            std::move(buf));
         };
@@ -251,7 +248,7 @@ void execute_chain_ca_tiled(RankState& st, const std::string& name,
   const double t_pack = timer.elapsed();
 
   // -- Core phase (lines 8-12): every loop's core in chain order. The
-  //    grouped packs ride in the first loop's epoch under taskgraph. ----
+  //    grouped packs ride in the first loop's epoch on a pooled rank. --
   std::int64_t core_iters = 0;
   for (std::size_t l = 0; l < loops.size(); ++l) {
     const halo::SetLayout& lay = st.layout(loops[l].set);

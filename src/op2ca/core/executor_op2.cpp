@@ -150,12 +150,12 @@ LoopMetrics execute_loop_op2(RankState& st, const LoopRecord& rec) {
 
   std::int64_t halo_elems = 0;
   std::vector<PackTask> packs;
-  // Taskgraph mode folds each pack into the core epoch as a graph task
+  // A pooled rank folds each pack into the core epoch as a graph task
   // that any worker may run; otherwise it runs right here. Either way the
   // staging buffer comes off the rank thread and request slots are
   // preallocated, so a pack writes its isend request without racing the
   // vector. Receives stay on the rank thread.
-  const bool fold = st.taskgraph && st.pool != nullptr;
+  const bool fold = st.pool != nullptr;
   std::size_t nslots = 0;
   for (mesh::dat_id d : exch) {
     const LoopExchange& ex = loop_exchange(st, d, &plan_builds);
@@ -197,7 +197,7 @@ LoopMetrics execute_loop_op2(RankState& st, const LoopRecord& rec) {
 
   const double t_pack = timer.elapsed();
 
-  // -- 2. Core iterations overlap with the exchange (taskgraph mode also
+  // -- 2. Core iterations overlap with the exchange (a pooled rank also
   //       runs the pack tasks inside this epoch). -----------------------
   const lidx_t core_end = lay.core_count(1);
   std::int64_t core_iters =

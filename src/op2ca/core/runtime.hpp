@@ -100,11 +100,10 @@ struct LoopMetrics {
   std::int64_t chunks = 0;
   int max_colours = 0;
   double busy_seconds = 0;
-  // Task-graph executor (WorldConfig::taskgraph): graph tasks executed
-  // (block ranges + folded pack tasks), tasks a participant stole from
-  // another worker's deque, and the summed time participants spent
-  // dependency-starved (nothing runnable anywhere — the residue of what
-  // the colour-barrier path spent idling at every colour boundary).
+  // Block task graph (threaded indirect-write loops): graph tasks
+  // executed (block ranges or list slices + folded pack tasks), tasks a
+  // participant stole from another worker's deque, and the summed time
+  // participants spent dependency-starved (nothing runnable anywhere).
   std::int64_t tasks = 0;
   std::int64_t steals = 0;
   double dep_wait_seconds = 0;
@@ -363,17 +362,22 @@ struct WorldConfig {
   /// Intra-rank shared-memory parallelism: each rank runs its regions on
   /// a worker pool of this width. 1 (default) keeps the single-threaded
   /// dispatch, bitwise-identical to previous behaviour. With > 1, direct
-  /// regions split into contiguous chunks and indirect-write loops run
-  /// as colour-ordered sweeps (mesh/colouring); results are deterministic
-  /// for any width > 1 (colour classes are conflict-free, so intra-class
-  /// order cannot affect any memory cell) but reassociate increment sums
-  /// relative to width 1. Ignored when serial_dispatch is set. Loops
-  /// reducing into globals execute serially regardless.
+  /// regions split into contiguous chunks, and indirect-write loops run
+  /// as one dependency-driven task graph over contiguous element blocks
+  /// (core/dispatch): a block waits only on its conflicting
+  /// lower-coloured neighbours, executed by a work-stealing pool, with
+  /// halo packs folded in as root tasks so staging overlaps core compute.
+  /// The block size derives from each rank-local set size, never from
+  /// the width, so results are bitwise-identical at every width >= 2 (the
+  /// DAG, not the schedule, orders every conflicting pair) but
+  /// reassociate increment sums relative to width 1. Ignored when
+  /// serial_dispatch is set. Loops reducing into globals execute
+  /// serially regardless.
   int threads_per_rank = 1;
   /// Locality layer (mesh/reorder + halo/reorder): cache-aware
   /// renumbering of each rank's local elements within the halo-plan
-  /// layers, plus locality-aware (blocked) colouring of threaded
-  /// indirect sweeps. Off by default — the runtime is then
+  /// layers, so the contiguous blocks of threaded indirect sweeps gather
+  /// nearby rows. Off by default — the runtime is then
   /// bitwise-identical to the un-reordered build. With it on, direct
   /// loops stay exact (same arithmetic per element) while loops that
   /// reduce over elements (indirect INC, global INC) reassociate their
@@ -389,27 +393,6 @@ struct WorldConfig {
   /// under either layout. Composes with `reorder`: renumbering happens
   /// before the layout transpose.
   mesh::LayoutConfig layout{};
-  /// Task-graph executor: replaces the per-colour pool barriers of
-  /// threaded indirect sweeps with a dependency-driven task graph over
-  /// contiguous element blocks (one task per block; block A waits only
-  /// on its conflicting lower-coloured neighbours, so fast blocks stream
-  /// ahead instead of idling at colour boundaries), executed by a
-  /// work-stealing pool. Halo pack/unpack staging folds into the same
-  /// graph: pack tasks run as roots and only the blocks that write
-  /// packed rows wait on them, so packing overlaps core compute.
-  /// Determinism: each element is written by exactly one task and every
-  /// conflicting block pair is ordered by its static colours, so results
-  /// are bitwise-identical at every pool width (including 1) — asserted
-  /// by the schedule-stress suite. Off by default; the legacy
-  /// colour-barrier sweep remains the fallback. Indirect-INC sums
-  /// reassociate relative to taskgraph-off runs (blocked colouring),
-  /// like any other iteration-order change. Ignored under
-  /// serial_dispatch.
-  bool taskgraph = false;
-  /// Elements per task block under `taskgraph` (the conflict and
-  /// scheduling granularity). Clamped to >= 2; defaults match the
-  /// locality layer's colour_block.
-  lidx_t taskgraph_block = 256;
   /// Device-resident execution (gpu/device_space): each rank's dat
   /// arrays become the device side of an explicit host/device mirror,
   /// halo staging is metered as D2H/H2D traffic, indirect-write loops

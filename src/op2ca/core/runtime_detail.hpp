@@ -103,8 +103,8 @@ struct ChainPlan {
   std::map<std::uint64_t, ChainExchange> exchanges;  ///< by stale mask.
 };
 
-/// A staging task folded into a loop's task-graph epoch (taskgraph
-/// mode): `body` gathers halo rows into a send buffer and posts the
+/// A staging task folded into a loop's task-graph epoch (pooled
+/// ranks): `body` gathers halo rows into a send buffer and posts the
 /// isend from whichever worker runs it. `reads` lists the rows the pack
 /// reads per dat — the blocks that WRITE any of those rows depend on the
 /// pack (it must observe pre-loop values), while every other block runs
@@ -118,8 +118,8 @@ struct PackTask {
   std::vector<Read> reads;
 };
 
-/// The cached dependency structure of one (set, conflict maps) pair in
-/// taskgraph mode, living next to the colouring it derives from: the
+/// The cached dependency structure of one (set, conflict maps) pair, the
+/// unit of every threaded indirect-write sweep: the block colouring's
 /// block-conflict adjacency (mesh::block_conflict_graph), lazily-built
 /// per-view writer incidence (target row -> writing blocks, walked to
 /// wire pack tasks ahead of the blocks that overwrite their rows), and
@@ -186,38 +186,22 @@ struct RankState {
   std::int64_t dispatch_regions = 0;  ///< running region-body call count.
 
   // Intra-rank threading (WorldConfig::threads_per_rank > 1): the worker
-  // pool, the colouring cache — one greedy colouring per (set, conflict
-  // maps) combination, living next to the exchange plans — and the
-  // per-colour gather scratch reused by threaded run_list calls.
+  // pool, the block-graph cache — one LoopGraph per (set, conflict maps)
+  // combination, living next to the exchange plans — and running
+  // counters the executors snapshot into LoopMetrics.
   std::unique_ptr<util::ThreadPool> pool;
-  std::map<std::pair<mesh::set_id, std::vector<mesh::map_id>>,
-           mesh::Colouring>
-      colourings;
-  std::vector<LIdxVec> colour_scratch;
-  std::int64_t dispatch_chunks = 0;   ///< running pool-chunk count.
-  int dispatch_max_colours = 0;       ///< reset per loop by the executors.
-
-  // Task-graph dispatch (WorldConfig::taskgraph): dependency-driven block
-  // sweeps replace the per-colour barriers. One LoopGraph per (set,
-  // conflict maps), cached next to the colouring it derives from, plus
-  // running counters the executors snapshot into LoopMetrics.
-  bool taskgraph = false;
   std::map<std::pair<mesh::set_id, std::vector<mesh::map_id>>, LoopGraph>
       loop_graphs;
+  std::int64_t dispatch_chunks = 0;   ///< running pool-chunk count.
+  int dispatch_max_colours = 0;       ///< reset per loop by the executors.
   std::int64_t dispatch_tasks = 0;   ///< graph task bodies executed.
   std::int64_t dispatch_steals = 0;  ///< cross-deque steals.
   double dispatch_dep_wait = 0;      ///< dependency-starved idle seconds.
-  /// Conflict-block granularity for colour-ordered sweeps: > 1 switches
-  /// loop_colouring to mesh::block_colouring and run-aware dispatch
-  /// (contiguous runs execute through range bodies). 1 when the locality
-  /// layer is off — the legacy per-element path, bitwise-identical to
-  /// earlier builds.
-  lidx_t colour_block = 1;
 
   // Device-resident execution (WorldConfig::device): the rank's mirror
   // space (null when the device is off) and the hierarchical two-level
   // schedule cache — one HierColouring per (set, conflict maps), the
-  // device analogue of `colourings`.
+  // device analogue of `loop_graphs`.
   std::unique_ptr<gpu::DeviceSpace> device;
   std::map<std::pair<mesh::set_id, std::vector<mesh::map_id>>,
            gpu::HierColouring>
@@ -335,50 +319,36 @@ std::uint64_t chain_structural_hash(const LoopRecord* loops, std::size_t n);
 /// Shared: runs the loop body over the local index range [begin, end).
 /// Paths, in precedence order: element-at-a-time (serial_dispatch), the
 /// single-region fast path (no pool — bitwise-identical to previous
-/// behaviour), contiguous chunks over the pool (no indirect writes), or
-/// a colour-ordered parallel sweep (indirect writes; see core/dispatch).
+/// behaviour), contiguous chunks over the pool (no indirect writes), the
+/// hierarchical device sweep (device mode), or the block task graph
+/// (every other indirect-write loop; see core/dispatch).
 /// Counts region-body invocations in st.dispatch_regions and pool chunks
 /// in st.dispatch_chunks.
 std::int64_t run_range(RankState& st, const LoopRecord& rec, lidx_t begin,
                        lidx_t end);
 
-/// Shared: runs the loop body over a gathered index list (same paths).
+/// Shared: runs the loop body over a gathered index list (same paths,
+/// except that device mode also takes the block graph). Threaded
+/// indirect-write lists must be sorted ascending.
 std::int64_t run_list(RankState& st, const LoopRecord& rec,
                       const LIdxVec& idx);
 
-/// Taskgraph-mode run_range with staging folded in: executes [begin, end)
-/// as one dependency-graph epoch over the loop's conflict blocks and runs
+/// run_range with staging folded in: executes [begin, end) as one
+/// dependency-graph epoch over the loop's conflict blocks and runs
 /// `packs` as extra graph tasks. Each pack is a root; the blocks that
 /// write any row a pack reads depend on it (packs observe pre-loop
 /// values), so packing overlaps the bulk of core compute instead of
 /// serialising ahead of it. Falls back to running the packs first and
-/// then the legacy path when the loop cannot use the graph (direct loop,
-/// serial_dispatch, global INC, taskgraph off). Returns region-body
-/// invocations, like run_range.
+/// then run_range when the loop does not run on the graph (no pool,
+/// direct loop, serial_dispatch, global INC, hierarchical device sweep).
+/// Returns region-body invocations, like run_range.
 std::int64_t run_range_tasks(RankState& st, const LoopRecord& rec,
                              lidx_t begin, lidx_t end,
                              std::span<PackTask> packs);
 
-/// The rank's cached dependency graph for `rec`'s conflict structure
-/// (taskgraph mode): the block-conflict DAG over loop_colouring's blocks.
-/// Built on first use, cached in RankState::loop_graphs next to the
-/// colouring. Exposed for the schedule-stress tests.
-LoopGraph& loop_graph(RankState& st, const LoopRecord& rec);
-
-/// The rank's cached colouring for `rec`'s conflict structure (the maps
-/// through which the loop writes indirectly, plus an identity view when
-/// a written dat is also accessed directly). Built on first use, cached
-/// in RankState::colourings. Exposed for the threaded-executor tests.
-/// Blocked (st.colour_block > 1, the locality layer) or per-element.
-const mesh::Colouring& loop_colouring(RankState& st, const LoopRecord& rec);
-
 /// The rank's cached hierarchical two-level schedule for `rec`'s
 /// conflict structure (device mode): outer block colouring plus
 /// per-block inner element colouring under the shared-memory clamp.
-/// Built on first use, cached in RankState::hier_colourings. Exposed for
-/// the device property tests.
-const gpu::HierColouring& loop_hier(RankState& st, const LoopRecord& rec);
-
 /// Ordering-quality proxies of the loop's widest indirect argument over
 /// the owned range (cached per loop name; zeros for direct loops).
 const mesh::OrderingQuality& loop_quality(RankState& st,

@@ -1,20 +1,13 @@
-// GPU device simulation (Section 3.3 substrate).
+// PCIe cost model of the simulated GPU (Section 3.3 substrate).
 //
-// No CUDA exists in this environment, so the GPU path is modeled: each
-// rank owning "a V100" holds DeviceBuffer mirrors of its host arrays.
-// Halo exchanges on the GPU cluster stage through the host — D2H copy,
-// MPI, H2D copy — and every copy is metered against a PCIe cost model
-// and accumulated into a per-device virtual clock. The net effect on the
-// analytic model is the inflated effective latency Lambda used by
-// model::cirrus_gpu(); this module provides the mechanism those numbers
-// come from and the substrate for the pipeline-overlap ablation.
+// No CUDA exists in this environment, so the GPU path is modeled: halo
+// exchanges on the GPU cluster stage through the host — D2H copy, MPI,
+// H2D copy — and every copy is charged against this transfer model. The
+// device ledger that meters those copies is gpu::DeviceSpace
+// (device_space.hpp); the pipeline-overlap makespans live in pipeline.hpp.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <vector>
-
-#include "op2ca/util/timer.hpp"
 
 namespace op2ca::gpu {
 
@@ -25,56 +18,6 @@ struct PcieModel {
   double transfer_time(std::int64_t bytes) const {
     return latency_s + static_cast<double>(bytes) / bandwidth_Bps;
   }
-};
-
-/// A device-resident mirror of a host double array.
-class DeviceBuffer {
-public:
-  DeviceBuffer() = default;
-  explicit DeviceBuffer(std::size_t n) : device_(n, 0.0) {}
-
-  std::size_t size() const { return device_.size(); }
-  /// Device-side storage (the "GPU memory"); kernels in the simulation
-  /// read/write this directly.
-  double* device_data() { return device_.data(); }
-  const double* device_data() const { return device_.data(); }
-
-  /// Host -> device copy of [offset, offset+count).
-  void upload(const double* host, std::size_t offset, std::size_t count);
-  /// Device -> host copy of [offset, offset+count).
-  void download(double* host, std::size_t offset, std::size_t count) const;
-
-  std::int64_t uploads() const { return uploads_; }
-  std::int64_t downloads() const { return downloads_; }
-  std::int64_t bytes_moved() const { return bytes_moved_; }
-
-private:
-  std::vector<double> device_;
-  std::int64_t uploads_ = 0;
-  mutable std::int64_t downloads_ = 0;
-  mutable std::int64_t bytes_moved_ = 0;
-};
-
-/// One simulated GPU: buffers plus a virtual clock charged per copy.
-class Device {
-public:
-  explicit Device(PcieModel pcie = {}) : pcie_(pcie) {}
-
-  DeviceBuffer& allocate(std::size_t n);
-
-  /// Metered staging copies (advance the device clock).
-  void upload(DeviceBuffer& buf, const double* host, std::size_t offset,
-              std::size_t count);
-  void download(const DeviceBuffer& buf, double* host, std::size_t offset,
-                std::size_t count);
-
-  const PcieModel& pcie() const { return pcie_; }
-  VirtualClock& clock() { return clock_; }
-
-private:
-  PcieModel pcie_;
-  VirtualClock clock_;
-  std::deque<DeviceBuffer> buffers_;  // deque: stable references.
 };
 
 }  // namespace op2ca::gpu

@@ -58,8 +58,8 @@ HierColouring hierarchical_colouring(
 
   HierColouring h;
   h.blocks = mesh::block_colouring(n, views, std::max<lidx_t>(be, 2));
-  // block_colouring degenerates to per-element colouring below 2; the
-  // device schedule needs genuine blocks, so be >= 2 above and the
+  // One-element blocks would be plain per-element colouring; the device
+  // schedule needs genuine blocks, so be >= 2 above and the
   // recorded block size is authoritative from here on.
   be = h.blocks.block_elems;
   const lidx_t nblocks = n > 0 ? (n + be - 1) / be : 0;

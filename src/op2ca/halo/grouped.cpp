@@ -39,19 +39,7 @@ void for_each_segment(const RankPlan& rp, rank_t q,
   }
 }
 
-/// gather_rows over a raw [idx, idx + n) subrange.
-void gather_range(const double* data, int dim, const lidx_t* idx,
-                  std::size_t n, std::byte* out) {
-  const std::size_t row_bytes = static_cast<std::size_t>(dim) * sizeof(double);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::memcpy(out, data + static_cast<std::size_t>(idx[i]) *
-                                static_cast<std::size_t>(dim),
-                row_bytes);
-    out += row_bytes;
-  }
-}
-
-/// Scatter counterpart of gather_range.
+/// Element-major scatter of a raw [idx, idx + n) subrange.
 void scatter_range(double* data, int dim, const lidx_t* idx, std::size_t n,
                    const std::byte* src) {
   const std::size_t row_bytes = static_cast<std::size_t>(dim) * sizeof(double);
@@ -250,45 +238,13 @@ GroupedPlan build_grouped_plan(const RankPlan& rp,
 }
 
 void pack_grouped(const GroupedPlan::Side& side,
-                  std::span<const DatSyncSpec> specs, std::byte* out,
-                  util::ThreadPool* pool) {
-  if (pool == nullptr || pool->threads() <= 1) {
-    for (std::size_t s = 0; s < specs.size(); ++s) {
-      gather_region(specs[s].data, specs[s].layout, specs[s].dim,
-                    side.gather[s], out);
-      out += side.gather[s].size() *
-             static_cast<std::size_t>(specs[s].dim) * sizeof(double);
-    }
-    return;
-  }
-  // Thread t gathers chunk t of every spec's list into its slots: chunks
-  // tile the output exactly (row-major byte ranges for AoS regions,
-  // column slices of every component stream for component-major ones),
-  // so the buffer matches the serial pack byte-for-byte at any width.
-  std::vector<std::size_t> base(specs.size());
-  std::size_t off = 0;
+                  std::span<const DatSyncSpec> specs, std::byte* out) {
   for (std::size_t s = 0; s < specs.size(); ++s) {
-    base[s] = off;
-    off += side.gather[s].size() *
+    gather_region(specs[s].data, specs[s].layout, specs[s].dim,
+                  side.gather[s], out);
+    out += side.gather[s].size() *
            static_cast<std::size_t>(specs[s].dim) * sizeof(double);
   }
-  const std::size_t nt = static_cast<std::size_t>(pool->threads());
-  pool->run([&](int t) {
-    for (std::size_t s = 0; s < specs.size(); ++s) {
-      const std::size_t row =
-          static_cast<std::size_t>(specs[s].dim) * sizeof(double);
-      const std::size_t n = side.gather[s].size();
-      const std::size_t b = n * static_cast<std::size_t>(t) / nt;
-      const std::size_t e = n * (static_cast<std::size_t>(t) + 1) / nt;
-      if (b == e) continue;
-      if (region_is_rows(specs[s]))
-        gather_range(specs[s].data, specs[s].dim, side.gather[s].data() + b,
-                     e - b, out + base[s] + b * row);
-      else
-        gather_cm(specs[s].data, *specs[s].layout, side.gather[s].data(),
-                  b, e, n, out + base[s]);
-    }
-  });
 }
 
 void unpack_grouped(const GroupedPlan::Side& side,

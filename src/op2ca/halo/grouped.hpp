@@ -113,13 +113,10 @@ GroupedPlan build_grouped_plan(const RankPlan& rp,
                                std::span<const DatSyncSpec> specs);
 
 /// Packs the grouped message toward side.q into `out`, which must hold
-/// side.send_bytes. Allocation-free by construction. With a pool, each
-/// dat's gather list splits into one contiguous chunk per thread —
-/// chunks write disjoint `out` segments, so the buffer is bitwise
-/// identical at every width (pass nullptr for the serial pack).
+/// side.send_bytes. Allocation-free by construction. Serial: on a pooled
+/// rank the whole pack is one task of the core epoch's block graph.
 void pack_grouped(const GroupedPlan::Side& side,
-                  std::span<const DatSyncSpec> specs, std::byte* out,
-                  util::ThreadPool* pool = nullptr);
+                  std::span<const DatSyncSpec> specs, std::byte* out);
 
 /// Unpacks a received grouped payload (side.recv_bytes long) from side.q.
 /// With a pool, scatter lists chunk the same way; every local row appears

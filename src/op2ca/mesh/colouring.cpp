@@ -44,65 +44,9 @@ struct ColourMasks {
 
 }  // namespace
 
-Colouring greedy_colouring(lidx_t n, std::span<const ColourMapView> views) {
-  for (const ColourMapView& v : views)
-    OP2CA_REQUIRE(v.num_elements >= n,
-                  "greedy_colouring: view covers fewer rows than the set");
-
-  Colouring out;
-  out.colour.assign(static_cast<std::size_t>(n), 0);
-  ColourMasks masks(views);
-
-  for (lidx_t e = 0; e < n; ++e) {
-    int c = -1;
-    while (c < 0) {
-      // OR the claimed-colour masks of every target of e.
-      std::vector<std::uint64_t> forbidden(masks.words, 0);
-      for (std::size_t v = 0; v < views.size(); ++v) {
-        const ColourMapView& view = views[v];
-        for (int k = 0; k < view.arity; ++k) {
-          const lidx_t t =
-              view.targets[static_cast<std::size_t>(e) *
-                               static_cast<std::size_t>(view.arity) +
-                           static_cast<std::size_t>(k)];
-          if (t == kInvalidLocal) continue;
-          const std::uint64_t* m = masks.mask(v, t);
-          for (std::size_t w = 0; w < masks.words; ++w) forbidden[w] |= m[w];
-        }
-      }
-      for (std::size_t w = 0; w < masks.words && c < 0; ++w) {
-        if (forbidden[w] == ~std::uint64_t{0}) continue;
-        const int bit = std::countr_one(forbidden[w]);
-        c = static_cast<int>(w * 64) + bit;
-      }
-      if (c < 0) masks.widen();  // retry with more words
-    }
-    out.colour[static_cast<std::size_t>(e)] = c;
-    out.num_colours = std::max(out.num_colours, c + 1);
-    for (std::size_t v = 0; v < views.size(); ++v) {
-      const ColourMapView& view = views[v];
-      for (int k = 0; k < view.arity; ++k) {
-        const lidx_t t =
-            view.targets[static_cast<std::size_t>(e) *
-                             static_cast<std::size_t>(view.arity) +
-                         static_cast<std::size_t>(k)];
-        if (t == kInvalidLocal) continue;
-        masks.mask(v, t)[static_cast<std::size_t>(c) / 64] |=
-            std::uint64_t{1} << (static_cast<std::size_t>(c) % 64);
-      }
-    }
-  }
-
-  out.classes.resize(static_cast<std::size_t>(out.num_colours));
-  for (lidx_t e = 0; e < n; ++e)
-    out.classes[static_cast<std::size_t>(out.colour[static_cast<std::size_t>(e)])]
-        .push_back(e);
-  return out;
-}
-
 Colouring block_colouring(lidx_t n, std::span<const ColourMapView> views,
                           lidx_t block_elems) {
-  if (block_elems <= 1) return greedy_colouring(n, views);
+  OP2CA_REQUIRE(block_elems >= 1, "block_colouring: block_elems < 1");
   for (const ColourMapView& v : views)
     OP2CA_REQUIRE(v.num_elements >= n,
                   "block_colouring: view covers fewer rows than the set");

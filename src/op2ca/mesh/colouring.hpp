@@ -1,16 +1,16 @@
-// Greedy mesh colouring for race-free shared-memory execution of
+// Greedy block colouring for race-free shared-memory execution of
 // indirect-increment loops (the classic OP2 intra-rank parallelisation:
 // Reguly et al., "Acceleration of a Full-scale Industrial CFD
-// Application with OP2"). Two from-set elements conflict when any map
-// entering the colouring sends both onto the same target element; the
-// colouring partitions the from-set into classes such that no class
-// contains a conflict, so every class can execute its elements in any
-// order — and in particular split across threads — with each written
-// target touched by at most one element.
+// Application with OP2"). Two blocks of from-set elements conflict when
+// any map entering the colouring sends an element of each onto the same
+// target element; the colouring partitions the blocks into classes such
+// that no class contains a conflict. The core dispatcher orders
+// conflicting blocks by colour in a task DAG (block_conflict_graph); the
+// device schedule (gpu/hierarchy) launches each class as one phase.
 //
-// The colouring is a pure function of (element count, target arrays):
-// first-fit over elements in ascending index order. Thread count never
-// enters, which is what makes colour-ordered parallel sweeps
+// The colouring is a pure function of (element count, target arrays,
+// block size): first-fit over blocks in ascending index order. Thread
+// count never enters, which is what makes the sweeps built on it
 // deterministic at any pool width.
 #pragma once
 
@@ -42,21 +42,18 @@ struct Colouring {
   /// colouring. With block_elems > 1 a colour class is conflict-free
   /// *between* blocks only — elements inside a block may conflict with
   /// each other, so a parallel sweep must keep each block on one thread
-  /// and run it in ascending order (core/dispatch aligns its chunk
-  /// boundaries to blocks).
+  /// and run it in ascending order (one task per block in core/dispatch,
+  /// one simulated thread block in gpu/hierarchy).
   lidx_t block_elems = 1;
 };
 
-/// First-fit greedy colouring of elements [0, n): each element takes the
-/// smallest colour unused by every earlier element it conflicts with
-/// through any view. Deterministic; classes partition [0, n).
-Colouring greedy_colouring(lidx_t n, std::span<const ColourMapView> views);
-
-/// Locality-aware variant: colours contiguous blocks of `block_elems`
-/// elements (two blocks conflict when any of their elements share a
-/// target), so every colour class is a union of contiguous runs that the
-/// dispatcher can execute as range regions instead of gathered lists.
-/// block_elems <= 1 degenerates to greedy_colouring.
+/// First-fit greedy colouring of contiguous blocks of `block_elems`
+/// elements over [0, n): each block takes the smallest colour unused by
+/// every earlier block it conflicts with (two blocks conflict when any of
+/// their elements share a target through any view). Deterministic;
+/// classes partition [0, n). block_elems == 1 is the classic
+/// per-element colouring; larger blocks make every colour class a union
+/// of contiguous runs.
 Colouring block_colouring(lidx_t n, std::span<const ColourMapView> views,
                           lidx_t block_elems);
 

@@ -54,12 +54,6 @@ struct ReorderConfig {
   ReorderKind kind = ReorderKind::None;  ///< default for every set.
   /// Per-set overrides by set name (may also switch a set *off*).
   std::map<std::string, ReorderKind> per_set;
-  /// Elements per colour block for the locality-aware colour sweep
-  /// (core/dispatch): conflicts are resolved between contiguous blocks
-  /// of this many elements, so each colour class becomes a union of
-  /// cache-friendly runs instead of a strided scatter. Only consulted
-  /// when reordering is enabled; <= 1 keeps per-element colouring.
-  lidx_t colour_block = 256;
 
   bool enabled() const;
   ReorderKind for_set(const std::string& set_name) const;

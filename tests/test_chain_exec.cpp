@@ -128,13 +128,12 @@ TEST(ChainExec, DisabledChainRowIsTheFoldOfItsLoopRows) {
   // An OP2-mode chain row must carry every LoopMetrics column, folded
   // over its loops exactly as LoopMetrics::accumulate folds them. The
   // chain holds one synth_update and one synth_edge_flux, each run once,
-  // so their loop rows are single executions. The task graph and the
-  // device ledger make the per-executor columns non-zero.
+  // so their loop rows are single executions. The threaded block graph
+  // and the device ledger make the per-executor columns non-zero.
   for (const bool device : {false, true}) {
     apps::mgcfd::Problem prob = apps::mgcfd::build_problem(1000, 1);
     WorldConfig cfg = base_config(2, 2);
     cfg.threads_per_rank = 2;
-    cfg.taskgraph = !device;
     cfg.device.enabled = device;
     World w(std::move(prob.mg.mesh), cfg);
     w.run([&](Runtime& rt) {

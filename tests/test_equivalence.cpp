@@ -25,7 +25,6 @@ WorldConfig equiv_config(int nranks, Mode mode, bool serial_dispatch,
                          mesh::ReorderKind reorder = mesh::ReorderKind::None,
                          int threads = 1,
                          mesh::LayoutConfig layout = {},
-                         bool taskgraph = false,
                          gpu::DeviceConfig device = {}) {
   WorldConfig cfg;
   cfg.nranks = nranks;
@@ -36,8 +35,6 @@ WorldConfig equiv_config(int nranks, Mode mode, bool serial_dispatch,
   cfg.reorder.kind = reorder;
   cfg.threads_per_rank = threads;
   cfg.layout = layout;
-  cfg.taskgraph = taskgraph;
-  cfg.taskgraph_block = 32;
   cfg.device = device;
   if (mode == Mode::kCa) cfg.chains.enable("synthetic");
   if (mode == Mode::kLazy) cfg.lazy = true;
@@ -112,10 +109,9 @@ SynthResult run_synth(int nranks, Mode mode, bool serial_dispatch,
                       mesh::ReorderKind reorder = mesh::ReorderKind::None,
                       int threads = 1,
                       mesh::LayoutConfig layout = {},
-                      bool taskgraph = false,
                       gpu::DeviceConfig device = {}) {
   return run_synth_world(equiv_config(nranks, mode, serial_dispatch, reorder,
-                                      threads, layout, taskgraph, device),
+                                      threads, layout, device),
                          mode);
 }
 
@@ -248,9 +244,10 @@ TEST(Equivalence, ReorderedModesAgreeFourThreads) {
 }
 
 TEST(Equivalence, ReorderedWidthIndependentSweeps) {
-  // Blocked colour sweeps are a pure function of the colouring and the
-  // block structure — chunk boundaries move with pool width, but blocks
-  // never straddle threads, so any width > 1 is bitwise-identical.
+  // The block task graph is a pure function of the reordered set and its
+  // derived block size — the schedule moves with pool width, but the DAG
+  // orders every conflicting block pair, so any width > 1 is
+  // bitwise-identical.
   expect_bitwise(
       run_synth(4, Mode::kOp2, false, mesh::ReorderKind::RCM, 2),
       run_synth(4, Mode::kOp2, false, mesh::ReorderKind::RCM, 4));
@@ -306,56 +303,6 @@ TEST(Equivalence, LayoutBatchedMatchesPerElement) {
                   layout_cfg(mesh::LayoutKind::SoA)));
 }
 
-// -- Task-graph executor (WorldConfig::taskgraph). ----------------------
-//
-// The dependency-driven block sweep replaces colour barriers with a DAG
-// over blocks; per written cell the accumulation order is still the
-// static colour order. Direct loops are untouched (bitwise vs serial);
-// indirect-INC loops reassociate against the per-element baseline
-// (tolerance); and within the graph path any pool width is bitwise —
-// the DAG, not the schedule, orders every conflicting pair.
-
-TEST(Equivalence, TaskgraphMatchesSerialAllModes) {
-  for (const Mode mode : {Mode::kOp2, Mode::kCa, Mode::kLazy}) {
-    const SynthResult base = run_synth(5, mode, false);
-    const SynthResult tg =
-        run_synth(5, mode, false, mesh::ReorderKind::None, 4, {}, true);
-    EXPECT_EQ(base.spres, tg.spres);  // direct loop: exact
-    testutil::expect_allclose(base.sres, tg.sres);
-    testutil::expect_allclose(base.sflux, tg.sflux);
-  }
-}
-
-TEST(Equivalence, TaskgraphWidthIndependentAllModes) {
-  // Widths 1/2/4 over the graph path are bitwise: width 1 is the serial
-  // FIFO drain of the same DAG, not the legacy colour sweep.
-  for (const Mode mode : {Mode::kOp2, Mode::kCa, Mode::kLazy}) {
-    const SynthResult w1 =
-        run_synth(4, mode, false, mesh::ReorderKind::None, 1, {}, true);
-    for (const int width : {2, 4})
-      expect_bitwise(w1, run_synth(4, mode, false,
-                                   mesh::ReorderKind::None, width, {},
-                                   true));
-  }
-}
-
-TEST(Equivalence, TaskgraphComposesWithReorderAndLayout) {
-  // The graph path stacks on the locality layer and the SIMD data plane:
-  // compare against the colour-barrier sweep at the SAME (reorder,
-  // layout, width) configuration. Different blocking (taskgraph_block vs
-  // reorder.colour_block) reassociates the INC sums — tolerance; the
-  // direct loop stays exact.
-  const SynthResult barrier =
-      run_synth(4, Mode::kOp2, false, mesh::ReorderKind::RCM, 4,
-                layout_cfg(mesh::LayoutKind::SoA));
-  const SynthResult graph =
-      run_synth(4, Mode::kOp2, false, mesh::ReorderKind::RCM, 4,
-                layout_cfg(mesh::LayoutKind::SoA), true);
-  EXPECT_EQ(barrier.spres, graph.spres);
-  testutil::expect_allclose(barrier.sres, graph.sres);
-  testutil::expect_allclose(barrier.sflux, graph.sflux);
-}
-
 // -- Device executor (WorldConfig::device). -----------------------------
 //
 // Device-resident execution changes WHERE arrays live (behind mirrored
@@ -371,7 +318,7 @@ TEST(Equivalence, DeviceMatchesBaselineAllModes) {
   for (const Mode mode : {Mode::kOp2, Mode::kCa, Mode::kLazy}) {
     const SynthResult base = run_synth(5, mode, false);
     const SynthResult dev =
-        run_synth(5, mode, false, mesh::ReorderKind::None, 1, {}, false,
+        run_synth(5, mode, false, mesh::ReorderKind::None, 1, {},
                   device_cfg());
     EXPECT_EQ(base.spres, dev.spres);  // direct loop: exact
     testutil::expect_allclose(base.sres, dev.sres);
@@ -382,15 +329,17 @@ TEST(Equivalence, DeviceMatchesBaselineAllModes) {
 TEST(Equivalence, DeviceWidthIndependent) {
   // The hierarchical schedule is a pure function of (set, maps, block
   // size): blocks of one outer colour never conflict and each block runs
-  // serially, so any pool width is bitwise-identical.
+  // serially. Exec-halo lists run on the block task graph, ordered by its
+  // DAG. Device mode keeps a pool at every width, so any pool width
+  // (1 included) is bitwise-identical.
   for (const Mode mode : {Mode::kOp2, Mode::kCa, Mode::kLazy}) {
     const SynthResult w1 =
-        run_synth(4, mode, false, mesh::ReorderKind::None, 1, {}, false,
+        run_synth(4, mode, false, mesh::ReorderKind::None, 1, {},
                   device_cfg());
     for (const int width : {2, 4})
       expect_bitwise(w1,
                      run_synth(4, mode, false, mesh::ReorderKind::None,
-                               width, {}, false, device_cfg()));
+                               width, {}, device_cfg()));
   }
 }
 
@@ -399,9 +348,9 @@ TEST(Equivalence, DeviceModesAreBitwise) {
   // WHEN value-preserving transfers happen — never in results.
   for (const Mode mode : {Mode::kOp2, Mode::kCa}) {
     expect_bitwise(
-        run_synth(5, mode, false, mesh::ReorderKind::None, 1, {}, false,
+        run_synth(5, mode, false, mesh::ReorderKind::None, 1, {},
                   device_cfg(gpu::DeviceConfig::Mode::Pipelined)),
-        run_synth(5, mode, false, mesh::ReorderKind::None, 1, {}, false,
+        run_synth(5, mode, false, mesh::ReorderKind::None, 1, {},
                   device_cfg(gpu::DeviceConfig::Mode::FullyStaged)));
   }
 }
@@ -413,11 +362,11 @@ TEST(Equivalence, DeviceLayoutsMatch) {
   // within tolerance of the same sums).
   for (const Mode mode : {Mode::kOp2, Mode::kCa}) {
     const SynthResult base =
-        run_synth(5, mode, false, mesh::ReorderKind::None, 1, {}, false,
+        run_synth(5, mode, false, mesh::ReorderKind::None, 1, {},
                   device_cfg());
     const SynthResult re =
         run_synth(5, mode, false, mesh::ReorderKind::None, 1,
-                  layout_cfg(mesh::LayoutKind::SoA), false, device_cfg());
+                  layout_cfg(mesh::LayoutKind::SoA), device_cfg());
     EXPECT_EQ(base.spres, re.spres);
     testutil::expect_allclose(base.sres, re.sres);
     testutil::expect_allclose(base.sflux, re.sflux);
@@ -429,11 +378,11 @@ TEST(Equivalence, DeviceFlatColouringMatchesHierarchical) {
   // conflict-free work differently: direct bitwise, indirect tolerance.
   const SynthResult flat =
       run_synth(5, Mode::kOp2, false, mesh::ReorderKind::None, 1, {},
-                false, device_cfg(gpu::DeviceConfig::Mode::Pipelined,
-                                  /*hierarchical=*/false));
+                device_cfg(gpu::DeviceConfig::Mode::Pipelined,
+                           /*hierarchical=*/false));
   const SynthResult hier =
       run_synth(5, Mode::kOp2, false, mesh::ReorderKind::None, 1, {},
-                false, device_cfg());
+                device_cfg());
   EXPECT_EQ(flat.spres, hier.spres);
   testutil::expect_allclose(flat.sres, hier.sres);
   testutil::expect_allclose(flat.sflux, hier.sflux);
@@ -445,7 +394,7 @@ TEST(Equivalence, DeviceSerialDispatchBitwiseLegacy) {
   // transfers in between are value-preserving, so bitwise.
   expect_bitwise(run_synth(5, Mode::kOp2, true),
                  run_synth(5, Mode::kOp2, true, mesh::ReorderKind::None,
-                           1, {}, false, device_cfg()));
+                           1, {}, device_cfg()));
 }
 
 // -- Temporal tiling (WorldConfig::tile). -------------------------------
@@ -488,14 +437,12 @@ void tiled_program(Runtime& rt, const apps::mgcfd::Handles& h,
 
 SynthResult run_synth_tiled(int nranks, int tile, Mode mode,
                             int threads = 1,
-                            mesh::LayoutConfig layout = {},
-                            bool taskgraph = false) {
+                            mesh::LayoutConfig layout = {}) {
   apps::mgcfd::Problem prob = apps::mgcfd::build_problem(1200, 1);
   const mesh::dat_id sres = prob.sres, sflux = prob.sflux,
                      spres = prob.spres;
   WorldConfig cfg = equiv_config(nranks, mode, false,
-                                 mesh::ReorderKind::None, threads, layout,
-                                 taskgraph);
+                                 mesh::ReorderKind::None, threads, layout);
   cfg.tile = tile;
   World w(std::move(prob.mg.mesh), cfg);
   w.run([&](Runtime& rt) {
@@ -548,21 +495,6 @@ TEST(Equivalence, TiledLayoutsAndThreads) {
         testutil::expect_allclose(base.sres, ca.sres);
         testutil::expect_allclose(base.sflux, ca.sflux);
       }
-    }
-  }
-}
-
-TEST(Equivalence, TiledTaskgraph) {
-  // ...and with the dependency-driven block sweep on top.
-  for (const int threads : {1, 4}) {
-    const SynthResult base =
-        run_synth_tiled(4, 1, Mode::kOp2, threads, {}, true);
-    for (const int tile : {2, 4}) {
-      const SynthResult ca =
-          run_synth_tiled(4, tile, Mode::kCa, threads, {}, true);
-      EXPECT_EQ(base.spres, ca.spres);
-      testutil::expect_allclose(base.sres, ca.sres);
-      testutil::expect_allclose(base.sflux, ca.sflux);
     }
   }
 }

@@ -1,14 +1,12 @@
-// GPU simulation tests: device buffers, metered staging copies, the
-// pipeline-overlap model of Section 3.3, the DeviceSpace mirror/validity
-// substrate and the hierarchical two-level colouring of the device
-// executor.
+// GPU simulation tests: the pipeline-overlap model of Section 3.3, the
+// DeviceSpace mirror/validity substrate (metered staging copies) and the
+// hierarchical two-level colouring of the device executor.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <numeric>
 #include <vector>
 
-#include "op2ca/gpu/device.hpp"
 #include "op2ca/gpu/device_space.hpp"
 #include "op2ca/gpu/hierarchy.hpp"
 #include "op2ca/gpu/pipeline.hpp"
@@ -17,46 +15,6 @@
 
 namespace op2ca::gpu {
 namespace {
-
-TEST(DeviceBuffer, UploadDownloadRoundTrip) {
-  DeviceBuffer buf(8);
-  const std::vector<double> host{1, 2, 3, 4};
-  buf.upload(host.data(), 2, 4);
-  std::vector<double> back(4, 0.0);
-  buf.download(back.data(), 2, 4);
-  EXPECT_EQ(back, host);
-  EXPECT_EQ(buf.uploads(), 1);
-  EXPECT_EQ(buf.downloads(), 1);
-  EXPECT_EQ(buf.bytes_moved(),
-            static_cast<std::int64_t>(8 * sizeof(double)));
-}
-
-TEST(DeviceBuffer, OutOfRangeRejected) {
-  DeviceBuffer buf(4);
-  std::vector<double> host(8, 0.0);
-  EXPECT_THROW(buf.upload(host.data(), 2, 4), Error);
-  EXPECT_THROW(buf.download(host.data(), 4, 1), Error);
-}
-
-TEST(Device, ClockAdvancesPerTransfer) {
-  Device dev;
-  DeviceBuffer& buf = dev.allocate(1024);
-  std::vector<double> host(1024, 1.0);
-  const double before = dev.clock().now();
-  dev.upload(buf, host.data(), 0, 1024);
-  const double one = dev.clock().now() - before;
-  EXPECT_GT(one, dev.pcie().latency_s);
-  dev.download(buf, host.data(), 0, 1024);
-  EXPECT_NEAR(dev.clock().now(), before + 2 * one, 1e-12);
-}
-
-TEST(Device, AllocationsKeepStableReferences) {
-  Device dev;
-  DeviceBuffer& a = dev.allocate(16);
-  double* pa = a.device_data();
-  for (int i = 0; i < 100; ++i) dev.allocate(64);
-  EXPECT_EQ(a.device_data(), pa);  // deque storage: no invalidation
-}
 
 TEST(Pipeline, StagedOverlapsComputeGpudirectDoesNot) {
   // The paper's observation: staged copies pipeline with kernels, while

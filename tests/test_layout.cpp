@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "op2ca/core/runtime.hpp"
@@ -260,14 +262,35 @@ TEST(WorldLayout, RankStorageAlignedAndDescribed) {
 
 double owner_value(gidx_t g, int c) { return 1000.0 + 4.0 * g + c; }
 
+/// One HaloContents configuration. With `ca` the probe pair runs as the
+/// CA chain "halo_probe" (grouped exchange of every layer); otherwise on
+/// per-loop OP2, which refreshes layer 1. `tile` > 1 runs the chain that
+/// many times back to back as one fused window; `lazy` drops the chain
+/// brackets and lets the lazy queue form the chain itself.
+struct HaloCase {
+  LayoutKind kind = LayoutKind::AoS;
+  bool ca = false;
+  bool persistent = false;
+  int threads = 1;
+  int tile = 1;
+  bool lazy = false;
+
+  int layers() const { return ca || lazy ? 2 : 1; }
+  std::string name() const {
+    return std::string(mesh::layout_name(kind)) + (ca ? " CA" : " OP2") +
+           (persistent ? " persistent" : "") + " threads " +
+           std::to_string(threads) + " tile " + std::to_string(tile) +
+           (lazy ? " lazy" : "");
+  }
+};
+
 /// Dirties dat "q" (dim 3 on nodes) with owned values owner_value(gid),
-/// runs a two-loop chain reading it through e2n, and returns per rank
-/// the count of wrong values in halo layers 1..`layers` (-1 when a rank
-/// checked nothing). With the chain enabled the CA executor refreshes
-/// every layer in one grouped exchange; otherwise the loops run on
-/// per-loop OP2, which refreshes layer 1.
-std::vector<std::int64_t> halo_errors(LayoutKind kind, bool ca,
-                                      bool persistent, int layers) {
+/// runs the two-loop probe chain reading it through e2n, and returns per
+/// rank the count of wrong values in halo layers 1..hc.layers() (-1 when
+/// a rank checked nothing). `chains` receives the World's chain rows.
+std::vector<std::int64_t> halo_errors(
+    const HaloCase& hc,
+    std::map<std::string, core::LoopMetrics>* chains = nullptr) {
   mesh::Quad2D m = mesh::make_quad2d(24, 24);
   const gidx_t n = m.mesh.set(m.nodes).size;
   std::vector<double> gid(static_cast<std::size_t>(n));
@@ -278,10 +301,13 @@ std::vector<std::int64_t> halo_errors(LayoutKind kind, bool ca,
                  std::vector<double>(static_cast<std::size_t>(n) * 3, -1.0));
   m.mesh.add_dat("r", m.nodes, 1);
   m.mesh.add_dat("e", m.edges, 1);
-  core::WorldConfig cfg = layout_world_cfg(kind);
+  core::WorldConfig cfg = layout_world_cfg(hc.kind);
   cfg.nranks = 4;
-  cfg.transport.persistent = persistent;
-  if (ca) cfg.chains.enable("halo_probe");
+  cfg.transport.persistent = hc.persistent;
+  cfg.threads_per_rank = hc.threads;
+  cfg.tile = hc.tile;
+  cfg.lazy = hc.lazy;
+  if (hc.ca) cfg.chains.enable("halo_probe");
   core::World w(m.mesh, cfg);
 
   std::vector<std::int64_t> wrong(4, -1);
@@ -300,32 +326,37 @@ std::vector<std::int64_t> halo_errors(LayoutKind kind, bool ca,
         },
         core::arg_dat(q, core::Access::WRITE),
         core::arg_dat(rt.dat("gid"), core::Access::READ));
+    // Lazy: flush the writer alone, so the probe pair forms the chain
+    // and q's halo reaches it by exchange, not by redundant set_owned.
+    if (hc.lazy) rt.barrier();
     // probe_read reads what probe_inc wrote through the map, so under CA
     // probe_inc runs over halo edges and needs q at every layer.
-    rt.chain_begin("halo_probe");
-    rt.par_loop(
-        "probe_inc", rt.set("edges"),
-        [](auto a, auto b, auto ra, auto rb) {
-          ra[0] += a[1];
-          rb[0] += b[2];
-        },
-        core::arg_dat(q, 0, e2n, core::Access::READ),
-        core::arg_dat(q, 1, e2n, core::Access::READ),
-        core::arg_dat(r, 0, e2n, core::Access::INC),
-        core::arg_dat(r, 1, e2n, core::Access::INC));
-    rt.par_loop(
-        "probe_read", rt.set("edges"),
-        [](auto a, auto b, auto e) { e[0] = a[0] - b[0]; },
-        core::arg_dat(r, 0, e2n, core::Access::READ),
-        core::arg_dat(r, 1, e2n, core::Access::READ),
-        core::arg_dat(rt.dat("e"), core::Access::WRITE));
-    rt.chain_end();
+    for (int t = 0; t < hc.tile; ++t) {
+      if (!hc.lazy) rt.chain_begin("halo_probe");
+      rt.par_loop(
+          "probe_inc", rt.set("edges"),
+          [](auto a, auto b, auto ra, auto rb) {
+            ra[0] += a[1];
+            rb[0] += b[2];
+          },
+          core::arg_dat(q, 0, e2n, core::Access::READ),
+          core::arg_dat(q, 1, e2n, core::Access::READ),
+          core::arg_dat(r, 0, e2n, core::Access::INC),
+          core::arg_dat(r, 1, e2n, core::Access::INC));
+      rt.par_loop(
+          "probe_read", rt.set("edges"),
+          [](auto a, auto b, auto e) { e[0] = a[0] - b[0]; },
+          core::arg_dat(r, 0, e2n, core::Access::READ),
+          core::arg_dat(r, 1, e2n, core::Access::READ),
+          core::arg_dat(rt.dat("e"), core::Access::WRITE));
+      if (!hc.lazy) rt.chain_end();
+    }
 
     const halo::SetLayout& sl = rt.layout(nodes);
     const mesh::DatLayout& lay = rt.dat_layout(q);
-    const double* data = rt.dat_data(q);
+    const double* data = rt.dat_data(q);  // flushes tiles and lazy loops
     std::int64_t checked = 0, bad = 0;
-    for (int k = 1; k <= layers; ++k)
+    for (int k = 1; k <= hc.layers(); ++k)
       for (const auto& [b, e] : {sl.exec_layer(k), sl.nonexec_layer(k)})
         for (lidx_t i = b; i < e; ++i)
           for (int c = 0; c < 3; ++c, ++checked)
@@ -334,17 +365,33 @@ std::vector<std::int64_t> halo_errors(LayoutKind kind, bool ca,
                                c);
     wrong[static_cast<std::size_t>(rt.rank())] = checked > 0 ? bad : -1;
   });
+  if (chains != nullptr) *chains = w.chain_metrics();
   return wrong;
 }
 
 TEST(HaloContents, EveryHaloSlotHoldsItsOwnersValue) {
+  const std::vector<std::int64_t> none(4, 0);
   for (const LayoutKind kind : {LayoutKind::AoS, LayoutKind::SoA})
     for (const bool ca : {false, true})
       for (const bool persistent : {false, true})
-        EXPECT_EQ(halo_errors(kind, ca, persistent, ca ? 2 : 1),
-                  std::vector<std::int64_t>(4, 0))
-            << mesh::layout_name(kind) << (ca ? " CA" : " OP2")
-            << (persistent ? " persistent" : "");
+        // Width 2 folds the packs into the block graph as root tasks.
+        for (const int threads : {1, 2}) {
+          const HaloCase hc{kind, ca, persistent, threads};
+          EXPECT_EQ(halo_errors(hc), none) << hc.name();
+        }
+  for (const int threads : {1, 2}) {
+    std::map<std::string, core::LoopMetrics> chains;
+    // A fused window of two chain invocations: one grouped exchange.
+    const HaloCase tiled{LayoutKind::AoS, true, false, threads, 2};
+    EXPECT_EQ(halo_errors(tiled, &chains), none) << tiled.name();
+    ASSERT_TRUE(chains.count("halo_probe")) << tiled.name();
+    EXPECT_EQ(chains.at("halo_probe").tile, 2) << tiled.name();
+    // The probe pair without brackets: the lazy queue forms the chain.
+    const HaloCase lazy{LayoutKind::AoS, false, false, threads, 1, true};
+    EXPECT_EQ(halo_errors(lazy, &chains), none) << lazy.name();
+    ASSERT_EQ(chains.size(), 1u) << lazy.name();
+    EXPECT_EQ(chains.begin()->first.rfind("lazy:", 0), 0u) << lazy.name();
+  }
 }
 
 }  // namespace

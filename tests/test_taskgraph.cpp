@@ -1,4 +1,4 @@
-// Task-graph executor suite (WorldConfig::taskgraph).
+// Task-graph executor suite (threaded indirect-write loops).
 //
 // Part 1 — graph properties, brute-forced on random meshes: every pair of
 // conflicting blocks (sharing a written target) is adjacent in the
@@ -7,12 +7,14 @@
 // the low->high colour orientation is acyclic (a Kahn drain covers every
 // block); and every block carries a colour in [0, num_colours).
 //
-// Part 2 — schedule stress: the indirect-INC synthetic sweep runs 50+
-// times across pool widths 1/2/4/8 with randomized per-task sleep jitter
+// Part 2 — schedule stress: the indirect-INC synthetic sweep runs 39
+// times across pool widths 2/4/8 with randomized per-task sleep jitter
 // injected through ThreadPool::set_task_jitter. Because the DAG (not the
-// schedule) orders every conflicting pair and INC order is fixed by the
-// static colour order, every run must produce BIT-IDENTICAL dats — the
-// determinism claim of the dependency-driven executor.
+// schedule) orders every conflicting pair, INC order is fixed by the
+// static colour order, and the block size derives from the set size
+// alone, every run must produce BIT-IDENTICAL dats — the determinism
+// claim of the dependency-driven executor. Width 1 runs the plain serial
+// region, not the graph.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -195,7 +197,7 @@ void synth_loops(Runtime& rt, const apps::mgcfd::Handles& h, int pairs) {
   }
 }
 
-/// One full indirect-INC sweep under the task graph at `width` threads,
+/// One full indirect-INC sweep at `width` threads (>= 2: the task graph),
 /// optionally returning the World for metrics inspection.
 SynthResult run_taskgraph_sweep(int width, World** out_world = nullptr) {
   apps::mgcfd::Problem prob = apps::mgcfd::build_problem(800, 1);
@@ -207,8 +209,6 @@ SynthResult run_taskgraph_sweep(int width, World** out_world = nullptr) {
   cfg.halo_depth = 2;
   cfg.validate = true;
   cfg.threads_per_rank = width;
-  cfg.taskgraph = true;
-  cfg.taskgraph_block = 16;  // small blocks -> many tasks per epoch
   auto w = std::make_unique<World>(std::move(prob.mg.mesh), cfg);
   w->run([&](Runtime& rt) {
     const auto h = apps::mgcfd::resolve_handles(rt, prob);
@@ -228,12 +228,11 @@ void expect_bitwise(const SynthResult& a, const SynthResult& b,
 }
 
 TEST(TaskGraphStress, BitwiseIdenticalUnderScheduleJitterAtEveryWidth) {
-  // Reference: width 1, no jitter — the serial FIFO drain of the DAG.
-  const SynthResult ref = run_taskgraph_sweep(1);
-  // 13 jittered runs at each width (52 total, on top of the reference):
-  // every schedule perturbation must reproduce the reference bitwise,
-  // including width 1 (jitter also shifts the serial drain's timing).
-  for (const int width : {1, 2, 4, 8}) {
+  // Reference: width 2, no jitter.
+  const SynthResult ref = run_taskgraph_sweep(2);
+  // 13 jittered runs at each width (39 total, on top of the reference):
+  // every schedule perturbation must reproduce the reference bitwise.
+  for (const int width : {2, 4, 8}) {
     for (unsigned run = 0; run < 13; ++run) {
       JitterGuard jitter(width * 100 + run);
       expect_bitwise(ref, run_taskgraph_sweep(width),
@@ -249,9 +248,15 @@ TEST(TaskGraphStress, GraphMetricsReportTasks) {
   std::unique_ptr<World> owned(w);
   const auto metrics = owned->loop_metrics();
   // The indirect-INC loops must have executed as graph tasks, one region
-  // body per (block, region) task.
+  // body per (block, region) task. The derived block size must keep the
+  // graph at least half as fine as fixed 16-element blocks were: those
+  // gave 130 ("u") and 131 ("f") tasks per call on this problem.
+  constexpr double kFixedBlock16TasksPerCall = 130;
   for (const char* name : {"u", "f"}) {
-    EXPECT_GT(metrics.at(name).tasks, 0) << name;
+    EXPECT_GE(static_cast<double>(metrics.at(name).tasks) /
+                  static_cast<double>(metrics.at(name).calls),
+              kFixedBlock16TasksPerCall / 2)
+        << name;
     EXPECT_GE(metrics.at(name).steals, 0) << name;
     EXPECT_GE(metrics.at(name).dep_wait_seconds, 0.0) << name;
     EXPECT_GE(metrics.at(name).max_colours, 2) << name;
@@ -261,10 +266,9 @@ TEST(TaskGraphStress, GraphMetricsReportTasks) {
   EXPECT_EQ(metrics.at("perturb").tasks, 0);
 }
 
-TEST(TaskGraphStress, TaskgraphMatchesLegacyExecutorToTolerance) {
-  // Against the default colour-barrier executor (taskgraph off, width 1,
-  // per-element colouring): same maths, INC sums reassociated by the
-  // blocked colour order — allclose, not bitwise.
+TEST(TaskGraphStress, GraphMatchesSerialRegionToTolerance) {
+  // Against the width-1 serial region: same maths, INC sums
+  // reassociated by the blocked colour order — allclose, not bitwise.
   apps::mgcfd::Problem prob = apps::mgcfd::build_problem(800, 1);
   const mesh::dat_id sres = prob.sres, sflux = prob.sflux,
                      spres = prob.spres;
@@ -278,12 +282,12 @@ TEST(TaskGraphStress, TaskgraphMatchesLegacyExecutorToTolerance) {
     const auto h = apps::mgcfd::resolve_handles(rt, prob);
     for (int t = 0; t < 2; ++t) synth_loops(rt, h, 2);
   });
-  const SynthResult legacy{w.fetch_dat(sres), w.fetch_dat(sflux),
+  const SynthResult serial{w.fetch_dat(sres), w.fetch_dat(sflux),
                            w.fetch_dat(spres)};
   const SynthResult graph = run_taskgraph_sweep(4);
-  testutil::expect_allclose(legacy.sres, graph.sres);
-  testutil::expect_allclose(legacy.sflux, graph.sflux);
-  testutil::expect_allclose(legacy.spres, graph.spres);
+  testutil::expect_allclose(serial.sres, graph.sres);
+  testutil::expect_allclose(serial.sflux, graph.sflux);
+  testutil::expect_allclose(serial.spres, graph.spres);
 }
 
 }  // namespace

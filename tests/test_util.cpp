@@ -442,7 +442,7 @@ TEST(ThreadPoolGraph, CycleIsDetectedNotDeadlocked) {
 }
 
 TEST(ThreadPoolContention, SendsToDistinctDestinationsDoNotSerialise) {
-  // Regression for the comm layer's send locking: taskgraph mode posts
+  // Regression for the comm layer's send locking: a pooled rank posts
   // pack isends from pool workers, and a single send mutex would queue a
   // fast send to one neighbour behind a slow send to another. Sends
   // serialise per DESTINATION, so a worker posting to rank 2 must return
