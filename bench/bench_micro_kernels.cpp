@@ -1041,7 +1041,7 @@ void write_transport_json(const char* path) {
 //     halo staging rows (zero mirror re-uploads).
 //   hierarchical vs flat — wall time of the indirect sweep under the
 //     two-level block/inner colouring vs the flat block task graph, same
-//     device config, pool width 4.
+//     device config, at pool widths 1, 2 and 4.
 // ---------------------------------------------------------------------
 
 /// Direct 2-of-8 update on nodes (a from b), cheap on purpose: staged
@@ -1148,13 +1148,14 @@ DevicePipelineCase bench_device_pipeline_case(const mesh::MeshDef& m,
 }
 
 /// Wall ns/edge of the indirect flux sweep with the two-level device
-/// colouring on or off (flat = block task graph), width 4, device pipelined.
-double bench_device_colouring_case(const mesh::MeshDef& m,
-                                   bool hierarchical) {
+/// colouring on or off (flat = block task graph) at pool width `threads`,
+/// device pipelined.
+double bench_device_colouring_case(const mesh::MeshDef& m, bool hierarchical,
+                                   int threads) {
   core::WorldConfig cfg;
   cfg.nranks = 1;
   cfg.halo_depth = 1;
-  cfg.threads_per_rank = 4;
+  cfg.threads_per_rank = threads;
   cfg.device.enabled = true;
   cfg.device.hierarchical = hierarchical;
   core::World w(m, cfg);
@@ -1200,8 +1201,18 @@ void write_gpu_json(const char* path) {
       (kIters - 1);
   const double pipelined_speedup = staged.device_s / pipelined.device_s;
 
-  const double flat_ns = bench_device_colouring_case(m, false);
-  const double hier_ns = bench_device_colouring_case(m, true);
+  // Hierarchical vs flat at pool widths 1, 2 and 4; the headline pair
+  // (flat_ns, hier_ns) is width 4.
+  struct ColouringRow {
+    int threads;
+    double flat_ns, hier_ns;
+  };
+  std::vector<ColouringRow> colouring;
+  for (const int t : {1, 2, 4})
+    colouring.push_back({t, bench_device_colouring_case(m, false, t),
+                         bench_device_colouring_case(m, true, t)});
+  const double flat_ns = colouring.back().flat_ns;
+  const double hier_ns = colouring.back().hier_ns;
 
   std::ofstream os(path);
   os.precision(5);
@@ -1224,7 +1235,13 @@ void write_gpu_json(const char* path) {
      << "  },\n"
      << "  \"colouring\": {\n"
      << "    \"flat_ns\": " << flat_ns << ", \"hier_ns\": " << hier_ns
-     << ", \"hier_speedup\": " << flat_ns / hier_ns << "\n"
+     << ", \"hier_speedup\": " << flat_ns / hier_ns << ",\n"
+     << "    \"widths\": [";
+  for (std::size_t i = 0; i < colouring.size(); ++i)
+    os << (i ? ", " : "") << "{\"threads\": " << colouring[i].threads
+       << ", \"flat_ns\": " << colouring[i].flat_ns
+       << ", \"hier_ns\": " << colouring[i].hier_ns << "}";
+  os << "]\n"
      << "  }\n"
      << "}\n";
   std::printf(

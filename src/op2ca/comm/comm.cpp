@@ -10,8 +10,6 @@ namespace op2ca::sim {
 void CommStats::reset_epoch() {
   epoch_msgs_sent = 0;
   epoch_bytes_sent = 0;
-  epoch_msgs_received = 0;
-  epoch_bytes_received = 0;
   epoch_max_msg_bytes = 0;
   for (int t = 0; t < kNumTiers; ++t) {
     epoch_msgs_by_tier[t] = 0;
@@ -94,16 +92,6 @@ void Comm::record_send(rank_t dst, std::size_t bytes) {
   stats_.epoch_neighbors.insert(dst);
 }
 
-void Comm::record_recv(rank_t src, std::size_t bytes) {
-  const auto n = static_cast<std::int64_t>(bytes);
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  stats_.msgs_received += 1;
-  stats_.bytes_received += n;
-  stats_.epoch_msgs_received += 1;
-  stats_.epoch_bytes_received += n;
-  stats_.recv_neighbors.insert(src);
-}
-
 Request Comm::irecv(rank_t src, tag_t tag, ByteBuf* out) {
   OP2CA_REQUIRE(out != nullptr, "irecv requires an output buffer");
   OP2CA_REQUIRE(src != rank_, "irecv from self is not supported");
@@ -162,7 +150,6 @@ std::vector<Channel> Comm::open_channels(
     Message m = match_or_raise(
         ch.peer, ch.sender ? kChannelHelloRecv : kChannelHelloSend,
         "persistent-channel negotiation");
-    record_recv(ch.peer, m.payload.size());
     const ChannelHello peer_hello =
         decode_hello(m.payload.data(), m.payload.size());
     OP2CA_REQUIRE(
@@ -236,7 +223,6 @@ Message Comm::match_or_raise(rank_t src, tag_t tag, const char* what) {
 void Comm::complete_recv(Request& req) {
   Message msg = transport_->match(rank_, req.peer, req.tag);
   *req.recv_buffer = std::move(msg.payload);
-  record_recv(req.peer, req.recv_buffer->size());
   charge(cost_ != nullptr
              ? cost_->message_time(
                    static_cast<std::int64_t>(req.recv_buffer->size()),
@@ -248,7 +234,6 @@ void Comm::complete_channel_recv(Request& req) {
   const Channel& ch = *req.channel;
   Message m =
       match_or_raise(ch.peer, ch.tag(), "persistent-channel message");
-  record_recv(ch.peer, m.payload.size());
   OP2CA_REQUIRE(m.payload.size() == ch.bytes,
                 "persistent channel from rank " + std::to_string(ch.peer) +
                     " delivered " + std::to_string(m.payload.size()) +

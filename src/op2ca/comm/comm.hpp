@@ -30,8 +30,6 @@ namespace op2ca::sim {
 struct CommStats {
   std::int64_t msgs_sent = 0;
   std::int64_t bytes_sent = 0;
-  std::int64_t msgs_received = 0;
-  std::int64_t bytes_received = 0;
   /// Sends whose payload was moved into the mailbox (zero-copy path) vs
   /// copied from a caller-owned span.
   std::int64_t sends_moved = 0;
@@ -43,12 +41,9 @@ struct CommStats {
   std::int64_t channels_opened = 0;
   std::int64_t channel_sends = 0;
   std::set<rank_t> send_neighbors;
-  std::set<rank_t> recv_neighbors;
 
   std::int64_t epoch_msgs_sent = 0;
   std::int64_t epoch_bytes_sent = 0;
-  std::int64_t epoch_msgs_received = 0;
-  std::int64_t epoch_bytes_received = 0;
   std::int64_t epoch_max_msg_bytes = 0;
   std::int64_t epoch_msgs_by_tier[kNumTiers] = {0, 0, 0};
   std::int64_t epoch_bytes_by_tier[kNumTiers] = {0, 0, 0};
@@ -153,7 +148,6 @@ private:
   Request post_send(rank_t dst, tag_t tag, Message msg);
   /// Stats + tier accounting for one wire message to `dst`.
   void record_send(rank_t dst, std::size_t bytes);
-  void record_recv(rank_t src, std::size_t bytes);
   Tier tier_to(rank_t peer) const {
     return cost_ != nullptr ? cost_->tier_of(rank_, peer) : Tier::Net;
   }

@@ -39,12 +39,8 @@ void Runtime::chain_end() {
     LoopMetrics chain_total;
     for (const auto& rec : loops)
       chain_total.accumulate(detail::execute_loop_op2(*state_, rec));
-    chain_total.calls = 1;
     chain_total.tile = 1;  // untiled by definition (per-loop OP2)
-    LoopMetrics& agg = state_->chain_metrics[name];
-    const std::int64_t prev_calls = agg.calls;
-    agg.merge_from(chain_total);
-    agg.calls = prev_calls + 1;
+    state_->chain_metrics[name].record(chain_total);
     return;
   }
 
@@ -131,41 +127,16 @@ std::string lazy_signature(const LoopRecord* loops, std::size_t n) {
 /// `cap` halo layers (0 = uncapped). Caches the analysis in
 /// st.chain_plans under `key`, so a feasible window's later execution
 /// (and every repeat of the same window) skips the inspector entirely.
-bool window_feasible_as(RankState& st, const std::string& key,
-                        const LoopRecord* loops, std::size_t n, int cap) {
-  const std::uint64_t sig = chain_structural_hash(loops, n);
-  const auto within = [&st, cap](int required) {
+bool window_feasible(RankState& st, const std::string& key,
+                     std::span<const LoopRecord> loops, int cap) {
+  try {
+    const int required =
+        chain_plan(st, key, loops, nullptr).analysis.required_depth;
     return required <= st.world->plan().depth &&
            (cap == 0 || required <= cap);
-  };
-  const auto it = st.chain_plans.find(key);
-  if (it != st.chain_plans.end() && it->second.structure == sig &&
-      it->second.analysis.he.size() == n)
-    return within(it->second.analysis.required_depth);
-  ChainSpec spec;
-  spec.name = key;
-  spec.loops.reserve(n);
-  for (std::size_t l = 0; l < n; ++l) spec.loops.push_back(loops[l].spec);
-  try {
-    ChainAnalysis an = inspect_chain(st.world->mesh(), spec);
-    const bool ok = within(an.required_depth);
-    ChainPlan& cp = st.chain_plans[key];
-    cp.structure = sig;
-    cp.analysis = std::move(an);
-    cp.exec_lists_built = false;
-    cp.exec_lists.clear();
-    cp.exchanges.clear();
-    return ok;
   } catch (const Error&) {
     return false;  // inspector rejected (e.g. unregenerable direct write)
   }
-}
-
-/// Lazy-mode wrapper: keys the cache by the window's structural signature.
-bool window_feasible(RankState& st, const LoopRecord* loops, std::size_t n,
-                     std::string* name_out) {
-  *name_out = lazy_signature(loops, n);
-  return window_feasible_as(st, *name_out, loops, n, /*cap=*/0);
 }
 
 }  // namespace
@@ -174,7 +145,6 @@ void flush_lazy(RankState& st) {
   if (st.lazy_queue.empty()) return;
   std::vector<LoopRecord> loops = std::move(st.lazy_queue);
   st.lazy_queue.clear();
-  ++st.lazy_flushes;
 
   // Greedy segmentation: grow each window while it stays CA-feasible;
   // flush it as an auto-formed chain (>= 2 loops) or a plain loop.
@@ -183,8 +153,8 @@ void flush_lazy(RankState& st) {
     std::size_t j = i + 1;
     std::string name = lazy_signature(loops.data() + i, 1);
     while (j < loops.size()) {
-      std::string candidate;
-      if (!window_feasible(st, loops.data() + i, j + 1 - i, &candidate))
+      std::string candidate = lazy_signature(loops.data() + i, j + 1 - i);
+      if (!window_feasible(st, candidate, {loops.data() + i, j + 1 - i}, 0))
         break;
       name = std::move(candidate);
       ++j;
@@ -225,8 +195,8 @@ void flush_tiles(RankState& st) {
     // cache without renegotiation.
     const std::string key = name + "#tile" + std::to_string(n_inv);
     const int cap = st.world->config().chains.max_depth(name);
-    if (window_feasible_as(st, key, fused.data(), fused.size(), cap)) {
-      execute_chain_ca_tiled(st, name, key, fused, n_inv);
+    if (window_feasible(st, key, fused, cap)) {
+      execute_chain_ca(st, name, fused, n_inv, key);
       return;
     }
     if (st.tile_fallbacks.insert(key).second)

@@ -22,43 +22,17 @@
 #include "op2ca/core/slice.hpp"
 #include "op2ca/core/runtime_detail.hpp"
 #include "op2ca/util/error.hpp"
-#include "op2ca/util/timer.hpp"
 
 namespace op2ca::core::detail {
 namespace {
 
 ChainSpec spec_from(const std::string& name,
-                    const std::vector<LoopRecord>& loops) {
+                    std::span<const LoopRecord> loops) {
   ChainSpec spec;
   spec.name = name;
   spec.loops.reserve(loops.size());
   for (const auto& rec : loops) spec.loops.push_back(rec.spec);
   return spec;
-}
-
-/// Returns the chain's cached plan, (re)building analysis + exec lists on
-/// first sight of this (name, structure). The structural hash guards
-/// against a chain name reused with different loops.
-ChainPlan& chain_plan(RankState& st, const std::string& name,
-                      const std::vector<LoopRecord>& loops,
-                      std::int64_t* plan_builds) {
-  const std::uint64_t sig = chain_structural_hash(loops.data(), loops.size());
-  ChainPlan& cp = st.chain_plans[name];
-  if (cp.structure != sig || cp.analysis.he.size() != loops.size()) {
-    cp.structure = sig;
-    cp.analysis = inspect_chain(st.world->mesh(), spec_from(name, loops));
-    cp.exec_lists_built = false;
-    cp.exec_lists.clear();
-    cp.exchanges.clear();
-    *plan_builds += 1;
-  }
-  if (!cp.exec_lists_built) {
-    cp.exec_lists = needed_exec_lists(st.world->mesh(), st.rank_plan(),
-                                      st.world->plan().depth,
-                                      spec_from(name, loops), cp.analysis);
-    cp.exec_lists_built = true;
-  }
-  return cp;
 }
 
 /// Returns the persistent grouped exchange for the current stale-dat set
@@ -127,28 +101,32 @@ ChainExchange& chain_exchange(RankState& st, ChainPlan& cp,
 
 }  // namespace
 
-void execute_chain_ca_tiled(RankState& st, const std::string& name,
-                            const std::string& plan_key,
-                            std::vector<LoopRecord>& loops, int tile) {
+ChainPlan& chain_plan(RankState& st, const std::string& key,
+                      std::span<const LoopRecord> loops,
+                      std::int64_t* plan_builds) {
+  const std::uint64_t sig = chain_structural_hash(loops.data(), loops.size());
+  ChainPlan& cp = st.chain_plans[key];
+  if (cp.structure != sig || cp.analysis.he.size() != loops.size()) {
+    cp = {sig, inspect_chain(st.world->mesh(), spec_from(key, loops)), {},
+          {}};
+    if (plan_builds != nullptr) *plan_builds += 1;
+  }
+  return cp;
+}
+
+void execute_chain_ca(RankState& st, const std::string& name,
+                      std::vector<LoopRecord>& loops, int tile,
+                      const std::string& plan_key) {
   if (loops.empty()) return;
-  WallTimer timer;
-  st.comm.stats().reset_epoch();
-  const std::int64_t allocs_before = st.staging.allocations();
-  const std::int64_t regions_before = st.dispatch_regions;
-  const std::int64_t chunks_before = st.dispatch_chunks;
-  const double busy_before = st.pool ? st.pool->busy_seconds() : 0.0;
-  const std::int64_t tasks_before = st.dispatch_tasks;
-  const std::int64_t steals_before = st.dispatch_steals;
-  const double dep_wait_before = st.dispatch_dep_wait;
-  st.dispatch_max_colours = 0;
-  std::int64_t plan_builds = 0;
+  Epoch ep(st, loops);
+  const std::string& key = plan_key.empty() ? name : plan_key;
 
   // -- Inspection (cached; the analysis is rank-independent). The plan
   //    key carries the tile geometry, so a fused tile and a partial tile
   //    of the same chain cache distinct plans (and distinct persistent
   //    channels — cp.structure differs, so channels renegotiate exactly
   //    when the tile geometry changes). ----------------------------------
-  ChainPlan& cp = chain_plan(st, plan_key, loops, &plan_builds);
+  ChainPlan& cp = chain_plan(st, key, loops, &ep.metrics.plan_builds);
   const ChainAnalysis& an = cp.analysis;
 
   OP2CA_REQUIRE(
@@ -160,6 +138,10 @@ void execute_chain_ca_tiled(RankState& st, const std::string& name,
   const int cap = st.world->config().chains.max_depth(name);
   OP2CA_REQUIRE(cap == 0 || an.required_depth <= cap,
                 "chain '" + name + "' exceeds its configured max depth");
+  if (cp.exec_lists.size() != loops.size())
+    cp.exec_lists = needed_exec_lists(st.world->mesh(), st.rank_plan(),
+                                      st.world->plan().depth,
+                                      spec_from(key, loops), an);
 
   // -- Pre-chain grouped exchange (lines 1-7 of Alg 2). ----------------
   // Stale-dat mask (dirty-bit check): identical on every rank — dirty
@@ -172,30 +154,12 @@ void execute_chain_ca_tiled(RankState& st, const std::string& name,
     if (st.rank_dat(an.syncs[i].dat).fresh_depth < an.syncs[i].depth)
       mask |= std::uint64_t{1} << i;
 
-  // Device epoch: upload every mirror any loop of the chain touches (the
-  // pipelined policy skips valid ones — in steady state the chain's only
-  // PCIe traffic is the grouped halo staging below).
   gpu::DeviceSpace* dev = st.device.get();
-  gpu::DeviceStats dev_before;
-  if (dev != nullptr) {
-    dev->begin_epoch();
-    dev_before = dev->stats();
-    std::vector<mesh::dat_id> touched;
-    for (const auto& rec : loops)
-      for (const auto& [dat, m] : merge_loop_accesses(rec.spec))
-        touched.push_back(dat);
-    std::sort(touched.begin(), touched.end());
-    touched.erase(std::unique(touched.begin(), touched.end()),
-                  touched.end());
-    for (mesh::dat_id d : touched) dev->to_device(d);
-  }
-
   ChainExchange* ex = nullptr;
-  std::int64_t halo_elems = 0;
   std::vector<PackTask> packs;
   const bool fold = st.pool != nullptr;
   if (mask != 0) {
-    ex = &chain_exchange(st, cp, mask, &plan_builds);
+    ex = &chain_exchange(st, cp, mask, &ep.metrics.plan_builds);
     // Rebind data pointers: dat storage can be re-gathered between runs
     // (World::reset_dat), so the cached specs must not pin stale arrays.
     for (std::size_t i = 0; i < ex->dats.size(); ++i)
@@ -217,7 +181,7 @@ void execute_chain_ca_tiled(RankState& st, const std::string& name,
       const halo::GroupedPlan::Side& side = ex->plan.sides[s];
       if (side.send_bytes > 0) {
         for (const LIdxVec& g : side.gather)
-          halo_elems += static_cast<std::int64_t>(g.size());
+          ep.metrics.halo_elems += static_cast<std::int64_t>(g.size());
         // Device-side grouped pack: metered here, on the rank thread.
         if (dev != nullptr) dev->stage_out(side.send_bytes);
         auto pack = [&st, ex, &side, s,
@@ -245,28 +209,26 @@ void execute_chain_ca_tiled(RankState& st, const std::string& name,
     }
   }
 
-  const double t_pack = timer.elapsed();
+  ep.mark(Epoch::kPack);
 
   // -- Core phase (lines 8-12): every loop's core in chain order. The
   //    grouped packs ride in the first loop's epoch on a pooled rank. --
-  std::int64_t core_iters = 0;
   for (std::size_t l = 0; l < loops.size(); ++l) {
     const halo::SetLayout& lay = st.layout(loops[l].set);
     const lidx_t core_end = lay.core_count(an.shrink[l]);
     if (l == 0 && fold)
-      core_iters += run_range_tasks(st, loops[l], 0, core_end, packs);
+      ep.metrics.core_iters +=
+          run_range_tasks(st, loops[l], 0, core_end, packs);
     else
-      core_iters += run_range(st, loops[l], 0, core_end);
+      ep.metrics.core_iters += run_range(st, loops[l], 0, core_end);
   }
 
-  const double t_core = timer.elapsed();
+  ep.mark(Epoch::kCore);
 
   // -- Wait + unpack (line 13). -----------------------------------------
-  double t_wait = t_core;
-  double t_unpack = t_core;
   if (ex != nullptr) {
     st.comm.wait_all(ex->requests);
-    t_wait = timer.elapsed();
+    ep.mark(Epoch::kWait);
     for (std::size_t s = 0; s < ex->plan.sides.size(); ++s) {
       if (ex->plan.sides[s].recv_bytes == 0) continue;
       halo::unpack_grouped(ex->plan.sides[s], ex->specs, ex->recv_bufs[s],
@@ -281,110 +243,31 @@ void execute_chain_ca_tiled(RankState& st, const std::string& name,
       RankDat& rd = st.rank_dat(ex->dats[i]);
       rd.fresh_depth = std::max(rd.fresh_depth, ex->specs[i].depth);
     }
-    t_unpack = timer.elapsed();
+    ep.mark(Epoch::kUnpack);
   }
 
   // -- Halo phase (lines 14-18): deferred boundary + exec layers. The
   //    import-exec iterations are the owner-compute redundancy the CA
   //    trade buys its messages with; a fused tile's lists reach deeper,
   //    so they are metered separately as redundant_elems. ----------------
-  std::int64_t halo_iters = 0;
-  std::int64_t redundant = 0;
   for (std::size_t l = 0; l < loops.size(); ++l) {
     const halo::SetLayout& lay = st.layout(loops[l].set);
-    halo_iters +=
+    ep.metrics.halo_iters +=
         run_range(st, loops[l], lay.core_count(an.shrink[l]), lay.num_owned);
     const std::int64_t exec_n = run_list(st, loops[l], cp.exec_lists[l]);
-    halo_iters += exec_n;
-    redundant += exec_n;
+    ep.metrics.halo_iters += exec_n;
+    ep.metrics.redundant_elems += exec_n;
   }
 
-  const double t_halo = timer.elapsed();
+  ep.mark(Epoch::kHalo);
 
-  // Close the device epoch: written mirrors turn DeviceFresh and the
-  // ledger charges the chain's (transfers, kernel seconds) makespan.
-  double device_span = 0;
-  if (dev != nullptr) {
-    for (const auto& rec : loops)
-      for (const auto& [dat, m] : merge_loop_accesses(rec.spec))
-        if (writes(m.mode)) dev->device_wrote(dat);
-    device_span =
-        dev->end_epoch((t_core - t_pack) + (t_halo - t_unpack));
-  }
-
-  // -- Dirty bits. -------------------------------------------------------
-  for (const auto& rec : loops)
-    for (const auto& [dat, m] : merge_loop_accesses(rec.spec))
-      if (writes(m.mode)) st.rank_dat(dat).fresh_depth = 0;
-
-  LoopMetrics metrics;
-  metrics.calls = 1;
-  metrics.core_iters = core_iters;
-  metrics.halo_iters = halo_iters;
-  metrics.msgs = st.comm.stats().epoch_msgs_sent;
-  metrics.bytes = st.comm.stats().epoch_bytes_sent;
-  metrics.max_msg_bytes = st.comm.stats().epoch_max_msg_bytes;
-  metrics.max_rank_bytes = st.comm.stats().epoch_bytes_sent;
-  metrics.max_neighbors =
-      static_cast<int>(st.comm.stats().epoch_neighbors.size());
-  metrics.wall_seconds = timer.elapsed();
-  metrics.pack_seconds = t_pack;
-  metrics.core_seconds = t_core - t_pack;
-  metrics.wait_seconds = t_wait - t_core;
-  metrics.unpack_seconds = t_unpack - t_wait;
-  metrics.halo_seconds = metrics.wall_seconds - t_unpack;
-  metrics.dispatch_regions = st.dispatch_regions - regions_before;
-  metrics.plan_builds = plan_builds;
-  metrics.staging_allocs = st.staging.allocations() - allocs_before;
-  metrics.chunks = st.dispatch_chunks - chunks_before;
-  metrics.max_colours = st.dispatch_max_colours;
-  metrics.busy_seconds =
-      st.pool ? st.pool->busy_seconds() - busy_before : 0.0;
-  metrics.tasks = st.dispatch_tasks - tasks_before;
-  metrics.steals = st.dispatch_steals - steals_before;
-  metrics.dep_wait_seconds = st.dispatch_dep_wait - dep_wait_before;
-  for (const auto& rec : loops) {
-    const mesh::OrderingQuality& oq = loop_quality(st, rec);
-    metrics.gather_span = std::max(metrics.gather_span, oq.gather_span);
-    metrics.reuse_gap = std::max(metrics.reuse_gap, oq.reuse_gap);
-    for (const Arg& a : rec.args)
-      if (a.kind != Arg::Kind::Gbl)
-        metrics.layout_code =
-            std::max(metrics.layout_code,
-                     static_cast<int>(st.rank_dat(a.dat).layout.kind));
-  }
-  metrics.halo_elems = halo_elems;
-  metrics.numa_bytes =
-      st.comm.stats().epoch_bytes_by_tier[static_cast<int>(sim::Tier::Numa)];
-  metrics.node_bytes =
-      st.comm.stats().epoch_bytes_by_tier[static_cast<int>(sim::Tier::Node)];
-  metrics.net_bytes =
-      st.comm.stats().epoch_bytes_by_tier[static_cast<int>(sim::Tier::Net)];
-  if (dev != nullptr) {
-    const gpu::DeviceStats& ds = dev->stats();
-    metrics.h2d_bytes = ds.h2d_bytes - dev_before.h2d_bytes;
-    metrics.d2h_bytes = ds.d2h_bytes - dev_before.d2h_bytes;
-    metrics.device_transfers =
-        (ds.h2d_transfers - dev_before.h2d_transfers) +
-        (ds.d2h_transfers - dev_before.d2h_transfers);
-    metrics.device_seconds = device_span;
-  }
-  metrics.tile = tile;
-  metrics.redundant_elems = redundant;
+  ep.metrics.tile = tile;
   // Per-invocation execution would have paid this epoch's message count
   // once per fused invocation (the stale-dat mask repeats under a steady
   // timestep loop); the fusion posts it once.
-  metrics.msgs_saved = static_cast<std::int64_t>(tile - 1) * metrics.msgs;
-
-  LoopMetrics& agg = st.chain_metrics[name];
-  const std::int64_t prev_calls = agg.calls;
-  agg.merge_from(metrics);
-  agg.calls = prev_calls + 1;
-}
-
-void execute_chain_ca(RankState& st, const std::string& name,
-                      std::vector<LoopRecord>& loops) {
-  execute_chain_ca_tiled(st, name, name, loops, /*tile=*/1);
+  ep.metrics.msgs_saved = static_cast<std::int64_t>(tile - 1) *
+                          st.comm.stats().epoch_msgs_sent;
+  ep.finish(st.chain_metrics, name);
 }
 
 }  // namespace op2ca::core::detail

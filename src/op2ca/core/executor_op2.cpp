@@ -17,7 +17,6 @@
 #include "op2ca/core/runtime_detail.hpp"
 #include "op2ca/halo/grouped.hpp"
 #include "op2ca/util/error.hpp"
-#include "op2ca/util/timer.hpp"
 
 namespace op2ca::core::detail {
 namespace {
@@ -113,42 +112,18 @@ LoopExchange& loop_exchange(RankState& st, mesh::dat_id d,
 }  // namespace
 
 LoopMetrics execute_loop_op2(RankState& st, const LoopRecord& rec) {
-  WallTimer timer;
+  Epoch ep(st, {&rec, 1});
   const halo::SetLayout& lay = st.layout(rec.set);
-  const mesh::MeshDef& mesh = st.world->mesh();
-  st.comm.stats().reset_epoch();
-  const std::int64_t allocs_before = st.staging.allocations();
-  const std::int64_t regions_before = st.dispatch_regions;
-  const std::int64_t chunks_before = st.dispatch_chunks;
-  const double busy_before = st.pool ? st.pool->busy_seconds() : 0.0;
-  const std::int64_t tasks_before = st.dispatch_tasks;
-  const std::int64_t steals_before = st.dispatch_steals;
-  const double dep_wait_before = st.dispatch_dep_wait;
-  st.dispatch_max_colours = 0;
-  std::int64_t plan_builds = 0;
+  gpu::DeviceSpace* dev = st.device.get();
 
   // Snapshot global-INC buffers before any iteration runs.
   GblIncState snap = snapshot_gbl_incs(rec);
-
-  // Device epoch: upload every accessed mirror that is stale (fully-
-  // staged policy re-moves valid ones too and counts the redundancy).
-  // The per-epoch transfer ledger opens here and closes after the halo
-  // compute, charging the staged or pipelined PCIe makespan.
-  gpu::DeviceSpace* dev = st.device.get();
-  gpu::DeviceStats dev_before;
-  if (dev != nullptr) {
-    dev->begin_epoch();
-    dev_before = dev->stats();
-    for (const auto& [dat, m] : merge_loop_accesses(rec.spec))
-      dev->to_device(dat);
-  }
 
   // -- 1. Post halo exchanges (MPI_Isend / MPI_Irecv of Alg 1). --------
   const std::vector<mesh::dat_id> exch = dats_needing_exchange(st, rec);
   std::vector<sim::Request>& requests = st.loop_requests;
   requests.clear();
 
-  std::int64_t halo_elems = 0;
   std::vector<PackTask> packs;
   // A pooled rank folds each pack into the core epoch as a graph task
   // that any worker may run; otherwise it runs right here. Either way the
@@ -158,7 +133,7 @@ LoopMetrics execute_loop_op2(RankState& st, const LoopRecord& rec) {
   const bool fold = st.pool != nullptr;
   std::size_t nslots = 0;
   for (mesh::dat_id d : exch) {
-    const LoopExchange& ex = loop_exchange(st, d, &plan_builds);
+    const LoopExchange& ex = loop_exchange(st, d, &ep.metrics.plan_builds);
     nslots += ex.sends.size() + ex.recvs.size();
   }
   requests.assign(nslots, sim::Request{});
@@ -168,7 +143,7 @@ LoopMetrics execute_loop_op2(RankState& st, const LoopRecord& rec) {
     LoopExchange& ex = *st.loop_exchanges[static_cast<std::size_t>(d)];
     for (std::size_t si = 0; si < ex.sends.size(); ++si) {
       const LoopExchange::Segment& seg = ex.sends[si];
-      halo_elems += static_cast<std::int64_t>(seg.idx->size());
+      ep.metrics.halo_elems += static_cast<std::int64_t>(seg.idx->size());
       // Device-side pack: export rows leave device memory for the
       // transport staging (metered here, on the rank thread).
       if (dev != nullptr) dev->stage_out(seg.bytes);
@@ -195,19 +170,18 @@ LoopMetrics execute_loop_op2(RankState& st, const LoopRecord& rec) {
                                    &ex.recv_bufs[i]);
   }
 
-  const double t_pack = timer.elapsed();
+  ep.mark(Epoch::kPack);
 
   // -- 2. Core iterations overlap with the exchange (a pooled rank also
   //       runs the pack tasks inside this epoch). -----------------------
   const lidx_t core_end = lay.core_count(1);
-  std::int64_t core_iters =
-      fold ? run_range_tasks(st, rec, 0, core_end, packs)
-           : run_range(st, rec, 0, core_end);
-  const double t_core = timer.elapsed();
+  ep.metrics.core_iters = fold ? run_range_tasks(st, rec, 0, core_end, packs)
+                               : run_range(st, rec, 0, core_end);
+  ep.mark(Epoch::kCore);
 
   // -- 3. MPI_Wait + unpack. -------------------------------------------
   st.comm.wait_all(requests);
-  const double t_wait = timer.elapsed();
+  ep.mark(Epoch::kWait);
 
   for (mesh::dat_id d : exch) {
     RankDat& rd = st.rank_dat(d);
@@ -226,93 +200,24 @@ LoopMetrics execute_loop_op2(RankState& st, const LoopRecord& rec) {
     }
     rd.fresh_depth = std::max(rd.fresh_depth, 1);
   }
-  const double t_unpack = timer.elapsed();
+  ep.mark(Epoch::kUnpack);
 
   // -- 4. Owned boundary + level-1 import-exec halo. --------------------
-  std::int64_t halo_iters = run_range(st, rec, core_end, lay.num_owned);
+  ep.metrics.halo_iters = run_range(st, rec, core_end, lay.num_owned);
   if (loop_executes_exec_halo(rec)) {
     const auto [b, e] = lay.exec_layer(1);
-    halo_iters += run_range(st, rec, b, e);
+    ep.metrics.halo_iters += run_range(st, rec, b, e);
   }
-  const double t_halo = timer.elapsed();
-
-  // Close the device epoch: written mirrors turn DeviceFresh and the
-  // ledger charges this loop's (transfers, kernel seconds) makespan.
-  double device_span = 0;
-  if (dev != nullptr) {
-    for (const auto& [dat, m] : merge_loop_accesses(rec.spec))
-      if (writes(m.mode)) dev->device_wrote(dat);
-    device_span =
-        dev->end_epoch((t_core - t_pack) + (t_halo - t_unpack));
-  }
+  ep.mark(Epoch::kHalo);
 
   // -- 5. Global reductions (synchronisation point). --------------------
   if (!snap.snapshots.empty()) {
     // Deltas were accumulated over owned iterations only (no exec halo
     // runs for gbl-INC loops; enforced at submit).
-    reduce_gbl_incs(st, rec, snap);
+    reduce_gbl_incs(st, snap);
   }
 
-  // -- 6. Dirty bits: written dats' halo copies are stale. --------------
-  for (const auto& [dat, m] : merge_loop_accesses(rec.spec))
-    if (writes(m.mode)) st.rank_dat(dat).fresh_depth = 0;
-
-  LoopMetrics metrics;
-  metrics.calls = 1;
-  metrics.core_iters = core_iters;
-  metrics.halo_iters = halo_iters;
-  metrics.msgs = st.comm.stats().epoch_msgs_sent;
-  metrics.bytes = st.comm.stats().epoch_bytes_sent;
-  metrics.max_msg_bytes = st.comm.stats().epoch_max_msg_bytes;
-  metrics.max_rank_bytes = st.comm.stats().epoch_bytes_sent;
-  metrics.max_neighbors =
-      static_cast<int>(st.comm.stats().epoch_neighbors.size());
-  metrics.wall_seconds = timer.elapsed();
-  metrics.pack_seconds = t_pack;
-  metrics.core_seconds = t_core - t_pack;
-  metrics.wait_seconds = t_wait - t_core;
-  metrics.unpack_seconds = t_unpack - t_wait;
-  metrics.halo_seconds = metrics.wall_seconds - t_unpack;
-  metrics.dispatch_regions = st.dispatch_regions - regions_before;
-  metrics.plan_builds = plan_builds;
-  metrics.staging_allocs = st.staging.allocations() - allocs_before;
-  metrics.chunks = st.dispatch_chunks - chunks_before;
-  metrics.max_colours = st.dispatch_max_colours;
-  metrics.busy_seconds =
-      st.pool ? st.pool->busy_seconds() - busy_before : 0.0;
-  metrics.tasks = st.dispatch_tasks - tasks_before;
-  metrics.steals = st.dispatch_steals - steals_before;
-  metrics.dep_wait_seconds = st.dispatch_dep_wait - dep_wait_before;
-  const mesh::OrderingQuality& oq = loop_quality(st, rec);
-  metrics.gather_span = oq.gather_span;
-  metrics.reuse_gap = oq.reuse_gap;
-  metrics.halo_elems = halo_elems;
-  metrics.numa_bytes =
-      st.comm.stats().epoch_bytes_by_tier[static_cast<int>(sim::Tier::Numa)];
-  metrics.node_bytes =
-      st.comm.stats().epoch_bytes_by_tier[static_cast<int>(sim::Tier::Node)];
-  metrics.net_bytes =
-      st.comm.stats().epoch_bytes_by_tier[static_cast<int>(sim::Tier::Net)];
-  if (dev != nullptr) {
-    const gpu::DeviceStats& ds = dev->stats();
-    metrics.h2d_bytes = ds.h2d_bytes - dev_before.h2d_bytes;
-    metrics.d2h_bytes = ds.d2h_bytes - dev_before.d2h_bytes;
-    metrics.device_transfers =
-        (ds.h2d_transfers - dev_before.h2d_transfers) +
-        (ds.d2h_transfers - dev_before.d2h_transfers);
-    metrics.device_seconds = device_span;
-  }
-  for (const Arg& a : rec.args)
-    if (a.kind != Arg::Kind::Gbl)
-      metrics.layout_code =
-          std::max(metrics.layout_code,
-                   static_cast<int>(st.rank_dat(a.dat).layout.kind));
-
-  LoopMetrics& agg = st.loop_metrics[rec.name];
-  const std::int64_t prev_calls = agg.calls;
-  agg.merge_from(metrics);
-  agg.calls = prev_calls + 1;
-  return metrics;
+  return ep.finish(st.loop_metrics, rec.name);
 }
 
 }  // namespace op2ca::core::detail

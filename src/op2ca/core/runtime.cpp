@@ -1,5 +1,7 @@
 #include "op2ca/core/runtime.hpp"
 
+#include <cstring>
+
 #include "op2ca/core/runtime_detail.hpp"
 #include "op2ca/util/error.hpp"
 
@@ -48,53 +50,77 @@ Arg arg_gbl(double* value, int dim, Access mode) {
   return a;
 }
 
+namespace {
+
+/// Which fold a LoopMetrics method applies (see MetricRule).
+enum class Fold { Ranks, Loops, Calls };
+
+template <typename T>
+T fold_value(MetricRule rule, Fold how, T into, T from) {
+  if (rule == MetricRule::Calls && how == Fold::Calls) return into + 1;
+  const bool sums = rule == MetricRule::Sum ||
+                    (rule == MetricRule::RankBytes && how == Fold::Loops);
+  return sums ? into + from : std::max(into, from);
+}
+
+void fold(LoopMetrics& into, const LoopMetrics& from, Fold how) {
+  for (const MetricField& f : kMetricFields)
+    std::visit(
+        [&](auto m) { into.*m = fold_value(f.rule, how, into.*m, from.*m); },
+        f.member);
+}
+
+}  // namespace
+
 void LoopMetrics::merge_from(const LoopMetrics& other) {
-  calls = std::max(calls, other.calls);  // same on every rank (SPMD)
-  core_iters += other.core_iters;
-  halo_iters += other.halo_iters;
-  msgs += other.msgs;
-  bytes += other.bytes;
-  max_msg_bytes = std::max(max_msg_bytes, other.max_msg_bytes);
-  max_rank_bytes = std::max(max_rank_bytes, other.max_rank_bytes);
-  max_neighbors = std::max(max_neighbors, other.max_neighbors);
-  wall_seconds += other.wall_seconds;
-  pack_seconds += other.pack_seconds;
-  core_seconds += other.core_seconds;
-  wait_seconds += other.wait_seconds;
-  unpack_seconds += other.unpack_seconds;
-  halo_seconds += other.halo_seconds;
-  dispatch_regions += other.dispatch_regions;
-  plan_builds += other.plan_builds;
-  staging_allocs += other.staging_allocs;
-  chunks += other.chunks;
-  max_colours = std::max(max_colours, other.max_colours);
-  busy_seconds += other.busy_seconds;
-  tasks += other.tasks;
-  steals += other.steals;
-  dep_wait_seconds += other.dep_wait_seconds;
-  gather_span = std::max(gather_span, other.gather_span);
-  reuse_gap = std::max(reuse_gap, other.reuse_gap);
-  layout_code = std::max(layout_code, other.layout_code);
-  halo_elems += other.halo_elems;
-  numa_bytes += other.numa_bytes;
-  node_bytes += other.node_bytes;
-  net_bytes += other.net_bytes;
-  h2d_bytes += other.h2d_bytes;
-  d2h_bytes += other.d2h_bytes;
-  device_transfers += other.device_transfers;
-  device_seconds += other.device_seconds;
-  tile = std::max(tile, other.tile);  // largest fused epoch seen
-  redundant_elems += other.redundant_elems;
-  msgs_saved += other.msgs_saved;
+  fold(*this, other, Fold::Ranks);
 }
 
 void LoopMetrics::accumulate(const LoopMetrics& next) {
-  const std::int64_t rank_bytes = max_rank_bytes + next.max_rank_bytes;
-  merge_from(next);
-  max_rank_bytes = rank_bytes;  // one rank sends both shares
+  fold(*this, next, Fold::Loops);
+}
+
+void LoopMetrics::record(const LoopMetrics& call) {
+  fold(*this, call, Fold::Calls);
 }
 
 namespace detail {
+
+ByteBuf serialize_metrics(const std::map<std::string, LoopMetrics>& m) {
+  ByteBuf out;
+  const auto put = [&out](const void* p, std::size_t n) {
+    const auto* b = static_cast<const std::byte*>(p);
+    out.insert(out.end(), b, b + n);
+  };
+  for (const auto& [name, lm] : m) {
+    const auto len = static_cast<std::uint32_t>(name.size());
+    put(&len, sizeof len);
+    put(name.data(), name.size());
+    for (const MetricField& f : kMetricFields)
+      std::visit([&](auto p) { put(&(lm.*p), sizeof(lm.*p)); }, f.member);
+  }
+  return out;
+}
+
+void merge_serialized_metrics(const ByteBuf& blob,
+                              std::map<std::string, LoopMetrics>* into) {
+  std::size_t off = 0;
+  const auto take = [&blob, &off](void* p, std::size_t n) {
+    OP2CA_ASSERT(off + n <= blob.size(), "metrics blob truncated");
+    std::memcpy(p, blob.data() + off, n);
+    off += n;
+  };
+  while (off < blob.size()) {
+    std::uint32_t len = 0;
+    take(&len, sizeof len);
+    std::string name(len, '\0');
+    take(name.data(), len);
+    LoopMetrics lm;
+    for (const MetricField& f : kMetricFields)
+      std::visit([&](auto p) { take(&(lm.*p), sizeof(lm.*p)); }, f.member);
+    (*into)[name].merge_from(lm);
+  }
+}
 
 void raise_out_of_region(const char* loop_name) {
   raise("par_loop '" + std::string(loop_name) +
@@ -117,9 +143,7 @@ GblIncState snapshot_gbl_incs(const LoopRecord& rec) {
   return snap;
 }
 
-void reduce_gbl_incs(RankState& st, const LoopRecord& rec,
-                     const GblIncState& snap) {
-  (void)rec;
+void reduce_gbl_incs(RankState& st, const GblIncState& snap) {
   for (const auto& [ptr, before] : snap.snapshots) {
     for (std::size_t k = 0; k < before.size(); ++k) {
       const double delta = ptr[k] - before[k];

@@ -14,10 +14,12 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "op2ca/comm/comm.hpp"
@@ -68,6 +70,7 @@ Arg arg_dat(Dat d, int idx, Map m, Access mode, bool self_combine = false);
 Arg arg_gbl(double* value, int dim, Access mode);
 
 /// Per-loop / per-chain measurements, merged across ranks by the World.
+/// Every field is an int64_t or a double with one kMetricFields entry.
 struct LoopMetrics {
   std::int64_t calls = 0;
   std::int64_t core_iters = 0;   ///< iterations overlapped with comms.
@@ -76,7 +79,7 @@ struct LoopMetrics {
   std::int64_t bytes = 0;
   std::int64_t max_msg_bytes = 0;    ///< largest single message (max rank).
   std::int64_t max_rank_bytes = 0;   ///< most bytes sent by one rank/call.
-  int max_neighbors = 0;
+  std::int64_t max_neighbors = 0;
   double wall_seconds = 0;           ///< summed across ranks.
   // Phase breakdown (wall, summed across ranks): staging the outgoing
   // halo data, computing cores while messages fly, waiting, unpacking
@@ -98,7 +101,7 @@ struct LoopMetrics {
   // (max over ranks/calls; 0 = no sweep needed), and the summed
   // per-thread busy time inside pool regions.
   std::int64_t chunks = 0;
-  int max_colours = 0;
+  std::int64_t max_colours = 0;
   double busy_seconds = 0;
   // Block task graph (threaded indirect-write loops): graph tasks
   // executed (block ranges or list slices + folded pack tasks), tasks a
@@ -118,7 +121,7 @@ struct LoopMetrics {
   // in (0 = AoS, 1 = SoA; max over args and ranks) and the
   // total halo elements exchanged, so bytes / halo_elems gives the wire
   // bytes moved per exchanged element for EXPERIMENTS.md correlations.
-  int layout_code = 0;
+  std::int64_t layout_code = 0;
   std::int64_t halo_elems = 0;
   // Transport hierarchy: wire bytes sent per machine tier (NUMA-local,
   // node-local, cross-network — flat topologies put everything in net).
@@ -149,10 +152,73 @@ struct LoopMetrics {
 
   /// Folds the same metric of another rank (cross-rank merge).
   void merge_from(const LoopMetrics& other);
-  /// Folds the next loop of one rank's sequence: merge_from, except that
-  /// max_rank_bytes sums — the same rank sends both loops' bytes.
+  /// Folds the next loop of one rank's call (a chain row from its loops).
   void accumulate(const LoopMetrics& next);
+  /// Folds one more call of the same loop or chain into this rank's row.
+  void record(const LoopMetrics& call);
 };
+
+/// How a LoopMetrics field folds across ranks (merge_from), across the
+/// loops of one call (accumulate) and across calls (record).
+enum class MetricRule {
+  Sum,        ///< work or time: sums everywhere.
+  Max,        ///< a peak or a level: the maximum everywhere.
+  Calls,      ///< max across ranks and loops; +1 per recorded call.
+  RankBytes,  ///< max across ranks and calls; sums across the loops of
+              ///< one call (one rank sends every loop's bytes).
+};
+
+/// One LoopMetrics field: its CSV column, the member, its fold rule.
+struct MetricField {
+  const char* column;
+  std::variant<std::int64_t LoopMetrics::*, double LoopMetrics::*> member;
+  MetricRule rule;
+};
+
+/// Every LoopMetrics field, in CSV and SPMD-wire order. The folds, the
+/// CSV export and the wire all walk this one list. New entries go at the
+/// end, so existing CSV columns keep their positions.
+inline constexpr MetricField kMetricFields[] = {
+    {"calls", &LoopMetrics::calls, MetricRule::Calls},
+    {"core_iters", &LoopMetrics::core_iters, MetricRule::Sum},
+    {"halo_iters", &LoopMetrics::halo_iters, MetricRule::Sum},
+    {"msgs", &LoopMetrics::msgs, MetricRule::Sum},
+    {"bytes", &LoopMetrics::bytes, MetricRule::Sum},
+    {"max_msg_bytes", &LoopMetrics::max_msg_bytes, MetricRule::Max},
+    {"max_neighbors", &LoopMetrics::max_neighbors, MetricRule::Max},
+    {"wall_s", &LoopMetrics::wall_seconds, MetricRule::Sum},
+    {"pack_s", &LoopMetrics::pack_seconds, MetricRule::Sum},
+    {"core_s", &LoopMetrics::core_seconds, MetricRule::Sum},
+    {"wait_s", &LoopMetrics::wait_seconds, MetricRule::Sum},
+    {"unpack_s", &LoopMetrics::unpack_seconds, MetricRule::Sum},
+    {"halo_s", &LoopMetrics::halo_seconds, MetricRule::Sum},
+    {"regions", &LoopMetrics::dispatch_regions, MetricRule::Sum},
+    {"plan_builds", &LoopMetrics::plan_builds, MetricRule::Sum},
+    {"staging_allocs", &LoopMetrics::staging_allocs, MetricRule::Sum},
+    {"chunks", &LoopMetrics::chunks, MetricRule::Sum},
+    {"colours", &LoopMetrics::max_colours, MetricRule::Max},
+    {"busy_s", &LoopMetrics::busy_seconds, MetricRule::Sum},
+    {"tasks", &LoopMetrics::tasks, MetricRule::Sum},
+    {"steals", &LoopMetrics::steals, MetricRule::Sum},
+    {"dep_wait_s", &LoopMetrics::dep_wait_seconds, MetricRule::Sum},
+    {"gather_span", &LoopMetrics::gather_span, MetricRule::Max},
+    {"reuse_gap", &LoopMetrics::reuse_gap, MetricRule::Max},
+    {"numa_bytes", &LoopMetrics::numa_bytes, MetricRule::Sum},
+    {"node_bytes", &LoopMetrics::node_bytes, MetricRule::Sum},
+    {"net_bytes", &LoopMetrics::net_bytes, MetricRule::Sum},
+    {"h2d_bytes", &LoopMetrics::h2d_bytes, MetricRule::Sum},
+    {"d2h_bytes", &LoopMetrics::d2h_bytes, MetricRule::Sum},
+    {"device_transfers", &LoopMetrics::device_transfers, MetricRule::Sum},
+    {"device_s", &LoopMetrics::device_seconds, MetricRule::Sum},
+    {"tile", &LoopMetrics::tile, MetricRule::Max},
+    {"redundant_elems", &LoopMetrics::redundant_elems, MetricRule::Sum},
+    {"msgs_saved", &LoopMetrics::msgs_saved, MetricRule::Sum},
+    {"max_rank_bytes", &LoopMetrics::max_rank_bytes, MetricRule::RankBytes},
+    {"layout_code", &LoopMetrics::layout_code, MetricRule::Max},
+    {"halo_elems", &LoopMetrics::halo_elems, MetricRule::Sum},
+};
+static_assert(sizeof(LoopMetrics) == std::size(kMetricFields) * 8,
+              "every LoopMetrics field needs a kMetricFields entry");
 
 class World;
 

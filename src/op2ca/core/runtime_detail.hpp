@@ -2,6 +2,7 @@
 // public API.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -21,6 +22,7 @@
 #include "op2ca/mesh/reorder.hpp"
 #include "op2ca/util/buffer_pool.hpp"
 #include "op2ca/util/thread_pool.hpp"
+#include "op2ca/util/timer.hpp"
 
 namespace op2ca::core::detail {
 
@@ -98,7 +100,6 @@ struct ChainExchange {
 struct ChainPlan {
   std::uint64_t structure = 0;
   ChainAnalysis analysis;
-  bool exec_lists_built = false;
   std::vector<LIdxVec> exec_lists;  ///< per-loop sparse-tiling slice.
   std::map<std::uint64_t, ChainExchange> exchanges;  ///< by stale mask.
 };
@@ -157,7 +158,6 @@ struct RankState {
   // Lazy-evaluation queue (WorldConfig::lazy): loops deferred until the
   // next synchronisation point, then flushed as an auto-formed chain.
   std::vector<LoopRecord> lazy_queue;
-  int lazy_flushes = 0;
 
   // Temporal tile accumulator (WorldConfig::tile / ChainConfig tile=):
   // completed chain invocations awaiting fusion — one inner vector per
@@ -272,24 +272,71 @@ inline sim::Request post_recv(sim::Comm& comm,
                        : comm.channel_irecv(chans[i], out);
 }
 
+/// The bookkeeping every executor epoch shares, over the loops it runs
+/// (one for OP2, the chain window for CA). Construction starts the wall
+/// timer, resets the comm epoch, snapshots the rank's running counters
+/// and opens the device epoch. The executor marks each phase's end and
+/// sets its own fields of `metrics` (iterations, halo_elems, plan_builds,
+/// the CA tiling ledger); finish() fills the rest.
+class Epoch {
+public:
+  /// An epoch's phases, in order (the paper's Tables 2 and 5).
+  enum Phase { kPack, kCore, kWait, kUnpack, kHalo, kPhases };
+
+  Epoch(RankState& st, std::span<const LoopRecord> loops);
+
+  /// Ends phase `p` now, and every later phase until it is marked itself
+  /// (a skipped wait or unpack takes no time).
+  void mark(Phase p) { std::fill(t_ + p, t_ + kPhases, timer_.elapsed()); }
+
+  /// Closes the device epoch, marks written dats' halos stale, fills
+  /// `metrics` and records it as one call under `name` in `into`.
+  const LoopMetrics& finish(std::map<std::string, LoopMetrics>& into,
+                            const std::string& name);
+
+  LoopMetrics metrics;
+
+private:
+  RankState& st_;
+  std::span<const LoopRecord> loops_;
+  std::vector<mesh::dat_id> written_;
+  WallTimer timer_;
+  double t_[kPhases] = {};
+  LoopMetrics before_;  ///< running counters at construction.
+  gpu::DeviceStats dev_before_;
+};
+
+/// The SPMD metrics wire: per map entry, [u32 name length | name | each
+/// kMetricFields value as 8 bytes].
+ByteBuf serialize_metrics(const std::map<std::string, LoopMetrics>& m);
+/// Decodes a serialize_metrics blob, merge_from()-ing each entry into
+/// `into`.
+void merge_serialized_metrics(const ByteBuf& blob,
+                              std::map<std::string, LoopMetrics>* into);
+
 /// Executes one loop with the classic OP2 executor (Alg 1). Returns the
 /// metrics of this single execution (also accumulated into
 /// st.loop_metrics under the loop's name).
 LoopMetrics execute_loop_op2(RankState& st, const LoopRecord& rec);
 
-/// Executes a captured chain with the CA executor (Alg 2).
-void execute_chain_ca(RankState& st, const std::string& name,
-                      std::vector<LoopRecord>& loops);
+/// The chain plan cached under `key` for this window of loops, inspected
+/// (Alg 3) on first sight of the (key, structure) pair — counted in
+/// `*plan_builds` when non-null. Throws when the inspector rejects the
+/// window. Exec lists are built by the executor on first execution.
+ChainPlan& chain_plan(RankState& st, const std::string& key,
+                      std::span<const LoopRecord> loops,
+                      std::int64_t* plan_builds);
 
-/// Executes a temporally-fused tile of `tile` chain invocations (their
-/// loops concatenated in `loops`) as one CA epoch. `plan_key` keys the
-/// ChainPlan / exchange / channel caches (distinct per tile geometry, so
-/// a partial flush at a sync point gets its own cached plan and
-/// persistent channels renegotiate only when the geometry changes);
+/// Executes a captured chain with the CA executor (Alg 2). A temporally
+/// fused tile of `tile` chain invocations (their loops concatenated in
+/// `loops`) runs as one CA epoch. `plan_key` (the chain name when empty)
+/// keys the ChainPlan / exchange / channel caches (distinct per tile
+/// geometry, so a partial flush at a sync point gets its own cached plan
+/// and persistent channels renegotiate only when the geometry changes);
 /// metrics land under `name` with LoopMetrics::tile = `tile`.
-void execute_chain_ca_tiled(RankState& st, const std::string& name,
-                            const std::string& plan_key,
-                            std::vector<LoopRecord>& loops, int tile);
+void execute_chain_ca(RankState& st, const std::string& name,
+                      std::vector<LoopRecord>& loops, int tile = 1,
+                      const std::string& plan_key = {});
 
 /// Flushes the tile accumulator: a full or partial tile of >= 2 queued
 /// invocations executes fused when the unrolled window is feasible
@@ -363,7 +410,6 @@ struct GblIncState {
   std::vector<std::pair<double*, std::vector<double>>> snapshots;
 };
 GblIncState snapshot_gbl_incs(const LoopRecord& rec);
-void reduce_gbl_incs(RankState& st, const LoopRecord& rec,
-                     const GblIncState& snap);
+void reduce_gbl_incs(RankState& st, const GblIncState& snap);
 
 }  // namespace op2ca::core::detail

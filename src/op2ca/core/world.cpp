@@ -1,9 +1,8 @@
-#include <cstring>
+#include <algorithm>
 #include <exception>
-#include <ostream>
 #include <mutex>
+#include <ostream>
 #include <thread>
-#include <type_traits>
 
 #include "op2ca/comm/mpi_backend.hpp"
 #include "op2ca/core/runtime_detail.hpp"
@@ -167,54 +166,6 @@ void World::reset_dat(mesh::dat_id d, const std::vector<double>& global) {
     if (state) state->refresh_dat_from_global(d, global);
 }
 
-namespace {
-
-// LoopMetrics is a flat struct of scalars; the wire format for the SPMD
-// cross-process merge is simply [u32 name length | name | raw struct]
-// per map entry. Every process runs the same binary, so the raw layout
-// matches by construction.
-ByteBuf serialize_metrics(const std::map<std::string, LoopMetrics>& m) {
-  static_assert(std::is_trivially_copyable_v<LoopMetrics>,
-                "LoopMetrics must stay flat for the SPMD metrics wire");
-  std::size_t total = 0;
-  for (const auto& [name, lm] : m)
-    total += sizeof(std::uint32_t) + name.size() + sizeof(LoopMetrics);
-  ByteBuf out(total);
-  std::size_t off = 0;
-  for (const auto& [name, lm] : m) {
-    const std::uint32_t len = static_cast<std::uint32_t>(name.size());
-    std::memcpy(out.data() + off, &len, sizeof(len));
-    off += sizeof(len);
-    std::memcpy(out.data() + off, name.data(), name.size());
-    off += name.size();
-    std::memcpy(out.data() + off, &lm, sizeof(LoopMetrics));
-    off += sizeof(LoopMetrics);
-  }
-  return out;
-}
-
-void merge_serialized_metrics(const ByteBuf& blob,
-                              std::map<std::string, LoopMetrics>* into) {
-  std::size_t off = 0;
-  while (off < blob.size()) {
-    OP2CA_ASSERT(off + sizeof(std::uint32_t) <= blob.size(),
-                 "metrics blob truncated");
-    std::uint32_t len = 0;
-    std::memcpy(&len, blob.data() + off, sizeof(len));
-    off += sizeof(len);
-    OP2CA_ASSERT(off + len + sizeof(LoopMetrics) <= blob.size(),
-                 "metrics blob truncated");
-    std::string name(reinterpret_cast<const char*>(blob.data() + off), len);
-    off += len;
-    LoopMetrics lm;
-    std::memcpy(&lm, blob.data() + off, sizeof(LoopMetrics));
-    off += sizeof(LoopMetrics);
-    (*into)[name].merge_from(lm);
-  }
-}
-
-}  // namespace
-
 std::map<std::string, LoopMetrics> World::merged_metrics(bool chains) const {
   std::map<std::string, LoopMetrics> merged;
   for (const auto& state : ranks_) {
@@ -227,9 +178,10 @@ std::map<std::string, LoopMetrics> World::merged_metrics(bool chains) const {
     // peers' in rank order, so every process reports the same totals the
     // threaded World would.
     const std::vector<ByteBuf> all =
-        spmd_comm().allgather_bytes(serialize_metrics(merged));
+        spmd_comm().allgather_bytes(detail::serialize_metrics(merged));
     std::map<std::string, LoopMetrics> global;
-    for (const ByteBuf& blob : all) merge_serialized_metrics(blob, &global);
+    for (const ByteBuf& blob : all)
+      detail::merge_serialized_metrics(blob, &global);
     return global;
   }
   return merged;
@@ -247,37 +199,29 @@ std::map<std::string, LoopMetrics> World::chain_metrics() const {
 
 void World::write_metrics_csv(std::ostream& os) const {
   require_outside_rank_threads("write_metrics_csv");
+  // One column per kMetricFields entry after the row's kind and name;
+  // the derived layout and bytes_per_elem columns sit before numa_bytes.
+  std::vector<std::string> header = {"kind", "name"};
+  for (const MetricField& f : kMetricFields) header.emplace_back(f.column);
+  const auto derived_at =
+      std::find(header.begin(), header.end(), "numa_bytes") - header.begin();
+  header.insert(header.begin() + derived_at, {"layout", "bytes_per_elem"});
   Table t;
-  t.set_header({"kind", "name", "calls", "core_iters", "halo_iters",
-                "msgs", "bytes", "max_msg_bytes", "max_neighbors",
-                "wall_s", "pack_s", "core_s", "wait_s", "unpack_s",
-                "halo_s", "regions", "plan_builds", "staging_allocs",
-                "chunks", "colours", "busy_s", "tasks", "steals",
-                "dep_wait_s", "gather_span", "reuse_gap", "layout",
-                "bytes_per_elem", "numa_bytes", "node_bytes", "net_bytes",
-                "h2d_bytes", "d2h_bytes", "device_transfers",
-                "device_s", "tile", "redundant_elems", "msgs_saved"});
+  t.set_header(std::move(header));
   t.set_precision(6);
-  auto add = [&t](const std::string& kind, const std::string& name,
-                  const LoopMetrics& m) {
-    t.add_row({kind, name, m.calls, m.core_iters, m.halo_iters, m.msgs,
-               m.bytes, m.max_msg_bytes,
-               static_cast<std::int64_t>(m.max_neighbors), m.wall_seconds,
-               m.pack_seconds, m.core_seconds, m.wait_seconds,
-               m.unpack_seconds, m.halo_seconds, m.dispatch_regions,
-               m.plan_builds, m.staging_allocs, m.chunks,
-               static_cast<std::int64_t>(m.max_colours), m.busy_seconds,
-               m.tasks, m.steals, m.dep_wait_seconds,
-               m.gather_span, m.reuse_gap,
-               std::string(mesh::layout_name(
-                   static_cast<mesh::LayoutKind>(m.layout_code))),
-               m.halo_elems > 0
-                   ? static_cast<double>(m.bytes) /
-                         static_cast<double>(m.halo_elems)
-                   : 0.0,
-               m.numa_bytes, m.node_bytes, m.net_bytes,
-               m.h2d_bytes, m.d2h_bytes, m.device_transfers,
-               m.device_seconds, m.tile, m.redundant_elems, m.msgs_saved});
+  auto add = [&](const std::string& kind, const std::string& name,
+                 const LoopMetrics& m) {
+    std::vector<Cell> row = {kind, name};
+    for (const MetricField& f : kMetricFields)
+      std::visit([&](auto p) { row.emplace_back(m.*p); }, f.member);
+    row.insert(
+        row.begin() + derived_at,
+        {std::string(mesh::layout_name(
+             static_cast<mesh::LayoutKind>(m.layout_code))),
+         m.halo_elems > 0 ? static_cast<double>(m.bytes) /
+                                static_cast<double>(m.halo_elems)
+                          : 0.0});
+    t.add_row(std::move(row));
   };
   for (const auto& [name, m] : loop_metrics()) add("loop", name, m);
   for (const auto& [name, m] : chain_metrics()) add("chain", name, m);

@@ -3,6 +3,9 @@
 // execution, while exchanging a single grouped message per neighbour.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+#include <variant>
+
 #include "op2ca/apps/mgcfd/mgcfd.hpp"
 #include "op2ca/apps/mgcfd/mgcfd_kernels.hpp"
 #include "op2ca/core/runtime.hpp"
@@ -149,27 +152,17 @@ TEST(ChainExec, DisabledChainRowIsTheFoldOfItsLoopRows) {
     EXPECT_GT(row.msgs, 0);
     EXPECT_GT(device ? row.h2d_bytes : row.tasks, 0);
 
-    using M = LoopMetrics;
-    for (const auto f :
-         {&M::calls, &M::core_iters, &M::halo_iters, &M::msgs, &M::bytes,
-          &M::max_msg_bytes, &M::max_rank_bytes, &M::dispatch_regions,
-          &M::plan_builds, &M::staging_allocs, &M::chunks, &M::tasks,
-          &M::steals, &M::halo_elems, &M::numa_bytes, &M::node_bytes,
-          &M::net_bytes, &M::h2d_bytes, &M::d2h_bytes,
-          &M::device_transfers, &M::tile, &M::redundant_elems,
-          &M::msgs_saved})
-      EXPECT_EQ(row.*f, fold.*f) << "device " << device;
-    for (const auto f :
-         {&M::max_neighbors, &M::max_colours, &M::layout_code})
-      EXPECT_EQ(row.*f, fold.*f) << "device " << device;
-    // Doubles: the chain row sums loops then ranks, the fold ranks then
-    // loops — equal up to reassociation.
-    for (const auto f :
-         {&M::wall_seconds, &M::pack_seconds, &M::core_seconds,
-          &M::wait_seconds, &M::unpack_seconds, &M::halo_seconds,
-          &M::busy_seconds, &M::dep_wait_seconds, &M::gather_span,
-          &M::reuse_gap, &M::device_seconds})
-      EXPECT_DOUBLE_EQ(row.*f, fold.*f) << "device " << device;
+    // Every field; doubles up to reassociation (the chain row sums loops
+    // then ranks, the fold ranks then loops).
+    for (const MetricField& f : kMetricFields)
+      std::visit(
+          [&](auto p) {
+            if constexpr (std::is_same_v<decltype(p), double LoopMetrics::*>)
+              EXPECT_DOUBLE_EQ(row.*p, fold.*p) << f.column << " " << device;
+            else
+              EXPECT_EQ(row.*p, fold.*p) << f.column << " " << device;
+          },
+          f.member);
   }
 }
 

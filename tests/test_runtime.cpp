@@ -4,11 +4,16 @@
 // sequential execution.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <sstream>
+#include <type_traits>
+#include <variant>
 
 #include "op2ca/apps/mgcfd/mgcfd.hpp"
 #include "op2ca/apps/mgcfd/mgcfd_kernels.hpp"
 #include "op2ca/core/runtime.hpp"
+#include "op2ca/core/runtime_detail.hpp"
 #include "op2ca/mesh/quad2d.hpp"
 #include "op2ca/util/error.hpp"
 #include "test_common.hpp"
@@ -356,6 +361,28 @@ TEST(RuntimeOp2, SchedulingIndependentDeterminism) {
   EXPECT_EQ(a, b);  // bitwise
 }
 
+/// Field `f` of `m` as a double (every kMetricFields value is exact in
+/// one for the small values these tests use).
+double field_value(const LoopMetrics& m, const MetricField& f) {
+  return std::visit([&m](auto p) { return static_cast<double>(m.*p); },
+                    f.member);
+}
+
+void set_field(LoopMetrics& m, const MetricField& f, double v) {
+  std::visit(
+      [&m, v](auto p) {
+        m.*p = static_cast<std::remove_reference_t<decltype(m.*p)>>(v);
+      },
+      f.member);
+}
+
+std::vector<std::string> split_csv_line(const std::string& line) {
+  std::vector<std::string> cols;
+  std::istringstream is(line);
+  for (std::string c; std::getline(is, c, ',');) cols.push_back(c);
+  return cols;
+}
+
 TEST(RuntimeOp2, MetricsCsvExport) {
   QuadProblem p = make_quad_problem(8, 8);
   World w(std::move(p.q.mesh), config_for(3, partition::Kind::KWay));
@@ -363,31 +390,104 @@ TEST(RuntimeOp2, MetricsCsvExport) {
   std::ostringstream os;
   w.write_metrics_csv(os);
   const std::string csv = os.str();
-  EXPECT_NE(csv.find("kind,name,calls"), std::string::npos);
   EXPECT_NE(csv.find("loop,update"), std::string::npos);
   EXPECT_NE(csv.find("loop,edge_flux"), std::string::npos);
-  // Temporal-tiling ledger columns ride at the end of every row.
-  EXPECT_NE(csv.find("tile,redundant_elems,msgs_saved"),
-            std::string::npos);
+
+  // One column per kMetricFields entry, plus the derived layout and
+  // bytes_per_elem columns, after the row's kind and name.
+  const std::vector<std::string> header =
+      split_csv_line(csv.substr(0, csv.find('\n')));
+  ASSERT_EQ(header.size(), 2 + std::size(kMetricFields) + 2);
+  for (const MetricField& f : kMetricFields)
+    EXPECT_EQ(std::count(header.begin(), header.end(), f.column), 1)
+        << f.column;
+  // The columns of earlier releases keep their names and positions;
+  // newer ones follow them.
+  const std::vector<std::string> stable = {
+      "kind", "name", "calls", "core_iters", "halo_iters", "msgs",
+      "bytes", "max_msg_bytes", "max_neighbors", "wall_s", "pack_s",
+      "core_s", "wait_s", "unpack_s", "halo_s", "regions", "plan_builds",
+      "staging_allocs", "chunks", "colours", "busy_s", "tasks", "steals",
+      "dep_wait_s", "gather_span", "reuse_gap", "layout", "bytes_per_elem",
+      "numa_bytes", "node_bytes", "net_bytes", "h2d_bytes", "d2h_bytes",
+      "device_transfers", "device_s", "tile", "redundant_elems",
+      "msgs_saved"};
+  ASSERT_GE(header.size(), stable.size());
+  EXPECT_TRUE(std::equal(stable.begin(), stable.end(), header.begin()));
+}
+
+TEST(RuntimeOp2, MetricsTableCoversEveryField) {
+  // The static_assert in runtime.hpp pins the entry count to the struct
+  // size; distinct offsets then mean every field has exactly one entry.
+  LoopMetrics m;
+  std::set<std::ptrdiff_t> offsets;
+  for (const MetricField& f : kMetricFields)
+    std::visit(
+        [&](auto p) {
+          offsets.insert(reinterpret_cast<const char*>(&(m.*p)) -
+                         reinterpret_cast<const char*>(&m));
+        },
+        f.member);
+  EXPECT_EQ(offsets.size(), std::size(kMetricFields));
 }
 
 TEST(RuntimeOp2, MetricsMergeTilingFields) {
-  // Allgather-merge semantics of the tiling ledger: tile is a max over
-  // ranks (they all ran the same epochs), the redundant-compute and
-  // saved-message counters are per-rank work and sum.
-  LoopMetrics a, b;
-  a.tile = 4;
-  a.redundant_elems = 100;
-  a.msgs_saved = 9;
-  b.tile = 2;
-  b.redundant_elems = 50;
-  b.msgs_saved = 3;
-  a.merge_from(b);
-  EXPECT_EQ(a.tile, 4);
-  EXPECT_EQ(a.redundant_elems, 150);
-  EXPECT_EQ(a.msgs_saved, 12);
-  b.merge_from(a);
-  EXPECT_EQ(b.tile, 4);
+  // Every field folds by its rule: across ranks (merge_from), across the
+  // loops of one call (accumulate) and across calls (record). Each fold
+  // touches only its own field.
+  for (const MetricField& f : kMetricFields) {
+    LoopMetrics a, b;
+    set_field(a, f, 5);
+    set_field(b, f, 3);
+    LoopMetrics ranks = a, ranks_rev = b, loops = a, calls = a;
+    ranks.merge_from(b);
+    ranks_rev.merge_from(a);
+    loops.accumulate(b);
+    calls.record(b);
+    double r = 0, l = 0, c = 0;
+    switch (f.rule) {
+      case MetricRule::Sum: r = 8, l = 8, c = 8; break;
+      case MetricRule::Max: r = 5, l = 5, c = 5; break;
+      case MetricRule::Calls: r = 5, l = 5, c = 6; break;
+      case MetricRule::RankBytes: r = 5, l = 8, c = 5; break;
+    }
+    EXPECT_EQ(field_value(ranks, f), r) << f.column;
+    EXPECT_EQ(field_value(ranks_rev, f), r) << f.column;
+    EXPECT_EQ(field_value(loops, f), l) << f.column;
+    EXPECT_EQ(field_value(calls, f), c) << f.column;
+    for (const MetricField& g : kMetricFields) {
+      if (&g == &f) continue;
+      EXPECT_EQ(field_value(ranks, g), 0) << f.column << " -> " << g.column;
+      EXPECT_EQ(field_value(loops, g), 0) << f.column << " -> " << g.column;
+      // record() counts the call whatever the folded metrics hold.
+      EXPECT_EQ(field_value(calls, g), g.rule == MetricRule::Calls ? 1 : 0)
+          << f.column << " -> " << g.column;
+    }
+  }
+}
+
+TEST(RuntimeOp2, MetricsWireRoundTrip) {
+  // The SPMD metrics wire carries every field: a map whose fields all
+  // hold distinct values decodes to itself.
+  std::map<std::string, LoopMetrics> sent;
+  double v = 1;
+  for (const char* name : {"edge_flux", "", "chain:synthetic"})
+    for (const MetricField& f : kMetricFields) {
+      // Fractional doubles: a double sent through an integer would show.
+      set_field(sent[name], f, f.member.index() == 0 ? v : v + 0.25);
+      ++v;
+    }
+  std::map<std::string, LoopMetrics> got;
+  detail::merge_serialized_metrics(detail::serialize_metrics(sent), &got);
+  ASSERT_EQ(got.size(), sent.size());
+  for (const auto& [name, m] : sent)
+    for (const MetricField& f : kMetricFields)
+      EXPECT_EQ(field_value(got.at(name), f), field_value(m, f))
+          << name << "." << f.column;
+
+  ByteBuf truncated = detail::serialize_metrics(sent);
+  truncated.pop_back();
+  EXPECT_THROW(detail::merge_serialized_metrics(truncated, &got), Error);
 }
 
 TEST(RuntimeOp2, PhaseTimingsSumToWall) {
