@@ -1,8 +1,8 @@
 // Persistent-channel protocol shared by every backend (a la
-// MPI_Send_init). An exchange that is built once per cached plan
-// (GroupedPlan / LoopExchange, both keyed by the structural hash that
-// already invalidates them) pre-negotiates a (peer, tag, size, hash) slot
-// with a ChannelHello handshake. Steady-state epochs then post the
+// MPI_Send_init). An executor's halo exchange, built once per cached
+// plan and keyed by the hash that already invalidates it, pre-negotiates
+// a (peer, tag, size, hash) slot per message with a ChannelHello
+// handshake. Steady-state epochs then post the
 // payload headerless on the channel's pre-assigned tag — no per-message
 // envelope and no receiver-side validation beyond the fixed slot size. A
 // structural mismatch between the two ends (stale channel) fails the

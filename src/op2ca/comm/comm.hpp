@@ -93,8 +93,9 @@ public:
   Request isend(rank_t dst, tag_t tag, std::span<const std::byte> payload);
   /// Zero-copy send: takes ownership of the buffer and moves it into the
   /// destination mailbox — no payload copy. The caller's vector is left
-  /// empty; staging buffers come back through a BufferPool on the
-  /// receiving side (see util/buffer_pool.hpp).
+  /// empty and the receiver owns the payload; the executors recycle it
+  /// (kept for the receiver's paired send to the same peer, or handed
+  /// back to the sender — core::detail::RankState::send_buffer).
   Request isend(rank_t dst, tag_t tag, ByteBuf payload);
   /// Begins a non-blocking receive into `*out` (resized on completion).
   Request irecv(rank_t src, tag_t tag, ByteBuf* out);

@@ -3,12 +3,12 @@
 // 1. Inspect the chain (cached by name + structural hash): Alg-3 halo
 //    extensions HE_l, per-loop core shrinks, dats needing a pre-chain
 //    sync and their depths, the sparse-tiling exec lists, and — per set
-//    of stale dats — a persistent ChainExchange holding the flattened
-//    GroupedPlan. Everything is built once; steady-state epochs skip
-//    straight to execution.
+//    of stale dats — a cached Exchange holding the flattened grouped
+//    plan. Everything is built once; steady-state epochs skip straight
+//    to execution.
 // 2. Build and post ONE grouped message per neighbour containing every
 //    stale dat's exec+nonexec halo layers up to its sync depth (Fig 8),
-//    packed through the plan into pooled staging buffers and moved into
+//    packed through the plan into recycled staging buffers and moved into
 //    the mailbox (zero-copy).
 // 3. While in flight: run every loop's (shrunken) core in chain order,
 //    one region-body call per loop.
@@ -17,8 +17,6 @@
 //    boundary (inward distance <= shrink_l) followed by the import-exec
 //    layers 1..HE_l — the redundant computation that replaces the
 //    per-loop halo exchanges.
-#include <algorithm>
-
 #include "op2ca/core/slice.hpp"
 #include "op2ca/core/runtime_detail.hpp"
 #include "op2ca/util/error.hpp"
@@ -35,68 +33,25 @@ ChainSpec spec_from(const std::string& name,
   return spec;
 }
 
-/// Returns the persistent grouped exchange for the current stale-dat set
+/// Returns the cached grouped exchange for the current stale-dat set
 /// (bit i of `mask` = an.syncs[i] participates), building it on miss.
-ChainExchange& chain_exchange(RankState& st, ChainPlan& cp,
-                              std::uint64_t mask,
-                              std::int64_t* plan_builds) {
+Exchange& chain_exchange(RankState& st, ChainPlan& cp, std::uint64_t mask,
+                         std::int64_t* plan_builds) {
   auto it = cp.exchanges.find(mask);
   if (it != cp.exchanges.end()) return it->second;
-
-  ChainExchange ex;
-  const mesh::MeshDef& mesh = st.world->mesh();
-  for (std::size_t i = 0; i < cp.analysis.syncs.size(); ++i) {
-    if ((mask & (std::uint64_t{1} << i)) == 0) continue;
-    const DatSync& s = cp.analysis.syncs[i];
-    RankDat& rd = st.rank_dat(s.dat);
-    halo::DatSyncSpec spec;
-    spec.set = mesh.dat(s.dat).set;
-    spec.dim = rd.dim;
-    spec.depth = s.depth;
-    spec.data = rd.data.data();
-    // st.dats never reallocates after construction, so the descriptor
-    // pointer stays valid for the exchange's lifetime (unlike `data`,
-    // which is rebound every epoch).
-    spec.layout = &rd.layout;
-    ex.specs.push_back(spec);
-    ex.dats.push_back(s.dat);
-  }
-  ex.plan = halo::build_grouped_plan(st.rank_plan(), ex.specs);
-  ex.recv_bufs.resize(ex.plan.sides.size());
-  for (const halo::GroupedPlan::Side& side : ex.plan.sides)
-    if (side.send_bytes > 0 && side.recv_bytes == 0)
-      st.provision_unpaired_send(side.q, kChainTag, side.send_bytes);
-
-  // Persistent channels (a la MPI_Send_init): negotiate one fixed
-  // (peer, tag, size) slot per grouped side, keyed by the same structural
-  // hash + stale mask that invalidates this exchange — a rank whose plan
-  // went stale renegotiates or fails the handshake loudly, it can never
-  // feed an old channel. Sides are walked in plan order on both ends
-  // (the grouped plan is rank-symmetric), so the k-th send-side open
-  // here pairs with the k-th recv-side open on the peer.
-  if (st.comm.transport_config().persistent) {
-    const std::uint64_t phash =
-        cp.structure ^ (mask * 0x9e3779b97f4a7c15ULL);
-    std::vector<sim::ChannelSpec> specs;
-    for (const halo::GroupedPlan::Side& side : ex.plan.sides) {
-      if (side.send_bytes > 0)
-        specs.push_back({side.q, /*sender=*/true, side.send_bytes, phash});
-      if (side.recv_bytes > 0)
-        specs.push_back({side.q, /*sender=*/false, side.recv_bytes, phash});
-    }
-    std::vector<sim::Channel> chans = st.comm.open_channels(specs);
-    ex.send_channels.resize(ex.plan.sides.size());
-    ex.recv_channels.resize(ex.plan.sides.size());
-    std::size_t k = 0;
-    for (std::size_t s = 0; s < ex.plan.sides.size(); ++s) {
-      if (ex.plan.sides[s].send_bytes > 0)
-        ex.send_channels[s] = std::move(chans[k++]);
-      if (ex.plan.sides[s].recv_bytes > 0)
-        ex.recv_channels[s] = std::move(chans[k++]);
-    }
-  }
-  *plan_builds += 1;
-  return cp.exchanges.emplace(mask, std::move(ex)).first->second;
+  std::vector<DatSync> syncs;
+  for (std::size_t i = 0; i < cp.analysis.syncs.size(); ++i)
+    if ((mask & (std::uint64_t{1} << i)) != 0)
+      syncs.push_back(cp.analysis.syncs[i]);
+  // Channels are keyed by the structural hash and stale mask that key
+  // this exchange: a rank whose plan went stale renegotiates or fails the
+  // handshake loudly, it can never feed an old channel.
+  return cp.exchanges
+      .emplace(mask, build_exchange(
+                         st, syncs, kChainTag, /*per_class=*/false,
+                         cp.structure ^ (mask * 0x9e3779b97f4a7c15ULL),
+                         plan_builds))
+      .first->second;
 }
 
 }  // namespace
@@ -154,61 +109,15 @@ void execute_chain_ca(RankState& st, const std::string& name,
     if (st.rank_dat(an.syncs[i].dat).fresh_depth < an.syncs[i].depth)
       mask |= std::uint64_t{1} << i;
 
-  gpu::DeviceSpace* dev = st.device.get();
-  ChainExchange* ex = nullptr;
+  // A pooled rank folds the grouped packs into the first loop's core
+  // epoch (the epoch drains before any later loop runs, so only the
+  // first loop's writers need gating).
+  std::vector<Exchange*> exs;
   std::vector<PackTask> packs;
-  const bool fold = st.pool != nullptr;
   if (mask != 0) {
-    ex = &chain_exchange(st, cp, mask, &ep.metrics.plan_builds);
-    // Rebind data pointers: dat storage can be re-gathered between runs
-    // (World::reset_dat), so the cached specs must not pin stale arrays.
-    for (std::size_t i = 0; i < ex->dats.size(); ++i)
-      ex->specs[i].data = st.rank_dat(ex->dats[i]).data.data();
-
-    // A pooled rank folds each side's grouped pack into the first
-    // loop's core epoch as a graph task (the epoch drains before any
-    // later loop runs, so only the first loop's writers need gating);
-    // otherwise it runs right here. Staging buffers come off the rank
-    // thread; request slots are preallocated so workers fill them without
-    // racing; receives post here. Workers may post to different
-    // neighbours concurrently — Comm serialises per destination.
-    std::size_t nslots = 0;
-    for (const halo::GroupedPlan::Side& side : ex->plan.sides)
-      nslots += (side.send_bytes > 0) + (side.recv_bytes > 0);
-    ex->requests.assign(nslots, sim::Request{});
-    std::size_t slot = 0;
-    for (std::size_t s = 0; s < ex->plan.sides.size(); ++s) {
-      const halo::GroupedPlan::Side& side = ex->plan.sides[s];
-      if (side.send_bytes > 0) {
-        for (const LIdxVec& g : side.gather)
-          ep.metrics.halo_elems += static_cast<std::int64_t>(g.size());
-        // Device-side grouped pack: metered here, on the rank thread.
-        if (dev != nullptr) dev->stage_out(side.send_bytes);
-        auto pack = [&st, ex, &side, s,
-                     out = &ex->requests[slot++],
-                     buf = st.send_buffer(
-                         side.recv_bytes > 0 ? &ex->recv_bufs[s] : nullptr,
-                         side.q, kChainTag, side.send_bytes)]() mutable {
-          halo::pack_grouped(side, ex->specs, buf.data());
-          *out = post_send(st.comm, ex->send_channels, s, side.q, kChainTag,
-                           std::move(buf));
-        };
-        if (fold) {
-          PackTask p{std::move(pack), {}};
-          for (std::size_t i = 0; i < ex->dats.size(); ++i)
-            p.reads.push_back({ex->dats[i], &side.gather[i]});
-          packs.push_back(std::move(p));
-        } else {
-          pack();
-        }
-      }
-      if (side.recv_bytes > 0)
-        ex->requests[slot++] = post_recv(st.comm, ex->recv_channels, s,
-                                         side.q, kChainTag,
-                                         &ex->recv_bufs[s]);
-    }
+    exs.push_back(&chain_exchange(st, cp, mask, &ep.metrics.plan_builds));
+    post_exchange(st, *exs.back(), ep.metrics, packs);
   }
-
   ep.mark(Epoch::kPack);
 
   // -- Core phase (lines 8-12): every loop's core in chain order. The
@@ -216,7 +125,7 @@ void execute_chain_ca(RankState& st, const std::string& name,
   for (std::size_t l = 0; l < loops.size(); ++l) {
     const halo::SetLayout& lay = st.layout(loops[l].set);
     const lidx_t core_end = lay.core_count(an.shrink[l]);
-    if (l == 0 && fold)
+    if (l == 0 && st.pool != nullptr)
       ep.metrics.core_iters +=
           run_range_tasks(st, loops[l], 0, core_end, packs);
     else
@@ -226,25 +135,7 @@ void execute_chain_ca(RankState& st, const std::string& name,
   ep.mark(Epoch::kCore);
 
   // -- Wait + unpack (line 13). -----------------------------------------
-  if (ex != nullptr) {
-    st.comm.wait_all(ex->requests);
-    ep.mark(Epoch::kWait);
-    for (std::size_t s = 0; s < ex->plan.sides.size(); ++s) {
-      if (ex->plan.sides[s].recv_bytes == 0) continue;
-      halo::unpack_grouped(ex->plan.sides[s], ex->specs, ex->recv_bufs[s],
-                           st.pool.get());
-      if (dev != nullptr) dev->stage_in(ex->plan.sides[s].recv_bytes);
-      // A side that also sends keeps its payload for the next pack.
-      if (ex->plan.sides[s].send_bytes == 0)
-        st.return_to_sender(std::move(ex->recv_bufs[s]),
-                            ex->plan.sides[s].q, kChainTag);
-    }
-    for (std::size_t i = 0; i < ex->dats.size(); ++i) {
-      RankDat& rd = st.rank_dat(ex->dats[i]);
-      rd.fresh_depth = std::max(rd.fresh_depth, ex->specs[i].depth);
-    }
-    ep.mark(Epoch::kUnpack);
-  }
+  complete_exchanges(st, exs, ep);
 
   // -- Halo phase (lines 14-18): deferred boundary + exec layers. The
   //    import-exec iterations are the owner-compute redundancy the CA

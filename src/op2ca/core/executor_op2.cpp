@@ -7,16 +7,13 @@
 // indirect writes, the level-1 import-exec halo; reduce globals; mark
 // written dats' halos stale.
 //
-// The per-dat message lists are flattened into a cached LoopExchange on
-// first use, and staging buffers cycle through the rank's BufferPool (the
-// zero-copy isend hands each send buffer to the receiver, which releases
-// it back into its own pool after unpacking) — steady-state loops walk no
-// maps and allocate nothing.
-#include <algorithm>
-
+// Each dat's exchange is built once as an Exchange of two single-class
+// grouped plans and cached. Staging buffers circulate without
+// allocating: a receive slot paired with a send to the same peer keeps
+// its payload for that send's next pack, and the receiver of an unpaired
+// send hands the payload back (RankState::return_to_sender) — so
+// steady-state loops walk no maps and allocate nothing.
 #include "op2ca/core/runtime_detail.hpp"
-#include "op2ca/halo/grouped.hpp"
-#include "op2ca/util/error.hpp"
 
 namespace op2ca::core::detail {
 namespace {
@@ -36,76 +33,21 @@ std::vector<mesh::dat_id> dats_needing_exchange(RankState& st,
   return out;
 }
 
-/// Flattens dat `d`'s level-1 message lists (built once, cached).
-LoopExchange& loop_exchange(RankState& st, mesh::dat_id d,
-                            std::int64_t* plan_builds) {
-  std::unique_ptr<LoopExchange>& slot =
+/// Dat `d`'s level-1 exchange (built once, cached).
+Exchange& loop_exchange(RankState& st, mesh::dat_id d,
+                        std::int64_t* plan_builds) {
+  std::unique_ptr<Exchange>& slot =
       st.loop_exchanges[static_cast<std::size_t>(d)];
-  if (slot != nullptr) return *slot;
-
-  const mesh::DatDef& dd = st.world->mesh().dat(d);
-  const int dim = dd.dim;
-  const halo::NeighborLists& nl =
-      st.rank_plan().lists[static_cast<std::size_t>(dd.set)];
-  const sim::tag_t tag_exec = kLoopTagBase + d * 2;
-  const sim::tag_t tag_nonexec = kLoopTagBase + d * 2 + 1;
-
-  slot = std::make_unique<LoopExchange>();
-  auto add = [dim](std::vector<LoopExchange::Segment>* segs,
-                   const std::map<rank_t, std::vector<LIdxVec>>& tab,
-                   sim::tag_t tag) {
-    for (const auto& [q, layers] : tab) {
-      const LIdxVec& idx = layers[0];  // level 1
-      if (idx.empty()) continue;
-      segs->push_back({q, tag, &idx,
-                       idx.size() * static_cast<std::size_t>(dim) *
-                           sizeof(double)});
-    }
-  };
-  add(&slot->sends, nl.exp_exec, tag_exec);
-  add(&slot->sends, nl.exp_nonexec, tag_nonexec);
-  add(&slot->recvs, nl.imp_exec, tag_exec);
-  add(&slot->recvs, nl.imp_nonexec, tag_nonexec);
-  slot->recv_bufs.resize(slot->recvs.size());
-  slot->recv_kept.assign(slot->recvs.size(), false);
-  for (const LoopExchange::Segment& seg : slot->sends) {
-    std::int32_t spare = -1;
-    for (std::size_t i = 0; i < slot->recvs.size() && spare < 0; ++i)
-      if (slot->recvs[i].q == seg.q && !slot->recv_kept[i]) {
-        spare = static_cast<std::int32_t>(i);
-        slot->recv_kept[i] = true;
-      }
-    slot->send_spare.push_back(spare);
-    if (spare < 0) st.provision_unpaired_send(seg.q, seg.tag, seg.bytes);
-  }
-
-  // Persistent channels: one slot per cached segment, keyed by the dat
-  // (both ends derive the identical hash — the exchange is invalidated
-  // with the LoopExchange cache itself). Segment order is (exec,
-  // nonexec) x neighbour-sorted on both ranks, so the k-th send-side
-  // open pairs with the peer's k-th recv-side open.
-  if (st.comm.transport_config().persistent) {
-    const std::uint64_t phash =
+  if (slot == nullptr) {
+    // Both ends derive the same channel hash from the dat; the channels
+    // live and die with this cache entry.
+    const DatSync sync{d, 1};
+    slot = std::make_unique<Exchange>(build_exchange(
+        st, {&sync, 1}, kLoopTagBase + d * 2, /*per_class=*/true,
         0x4c4f4f50ull ^
-        (static_cast<std::uint64_t>(d) * 0x9e3779b97f4a7c15ULL);
-    std::vector<sim::ChannelSpec> specs;
-    for (const LoopExchange::Segment& seg : slot->sends)
-      specs.push_back({seg.q, /*sender=*/true, seg.bytes, phash});
-    for (const LoopExchange::Segment& seg : slot->recvs)
-      specs.push_back({seg.q, /*sender=*/false, seg.bytes, phash});
-    std::vector<sim::Channel> chans = st.comm.open_channels(specs);
-    slot->send_channels.assign(
-        std::make_move_iterator(chans.begin()),
-        std::make_move_iterator(chans.begin() +
-                                static_cast<std::ptrdiff_t>(
-                                    slot->sends.size())));
-    slot->recv_channels.assign(
-        std::make_move_iterator(chans.begin() +
-                                static_cast<std::ptrdiff_t>(
-                                    slot->sends.size())),
-        std::make_move_iterator(chans.end()));
+            (static_cast<std::uint64_t>(d) * 0x9e3779b97f4a7c15ULL),
+        plan_builds));
   }
-  *plan_builds += 1;
   return *slot;
 }
 
@@ -114,93 +56,29 @@ LoopExchange& loop_exchange(RankState& st, mesh::dat_id d,
 LoopMetrics execute_loop_op2(RankState& st, const LoopRecord& rec) {
   Epoch ep(st, {&rec, 1});
   const halo::SetLayout& lay = st.layout(rec.set);
-  gpu::DeviceSpace* dev = st.device.get();
 
   // Snapshot global-INC buffers before any iteration runs.
   GblIncState snap = snapshot_gbl_incs(rec);
 
   // -- 1. Post halo exchanges (MPI_Isend / MPI_Irecv of Alg 1). --------
-  const std::vector<mesh::dat_id> exch = dats_needing_exchange(st, rec);
-  std::vector<sim::Request>& requests = st.loop_requests;
-  requests.clear();
-
+  std::vector<Exchange*> exs;
   std::vector<PackTask> packs;
-  // A pooled rank folds each pack into the core epoch as a graph task
-  // that any worker may run; otherwise it runs right here. Either way the
-  // staging buffer comes off the rank thread and request slots are
-  // preallocated, so a pack writes its isend request without racing the
-  // vector. Receives stay on the rank thread.
-  const bool fold = st.pool != nullptr;
-  std::size_t nslots = 0;
-  for (mesh::dat_id d : exch) {
-    const LoopExchange& ex = loop_exchange(st, d, &ep.metrics.plan_builds);
-    nslots += ex.sends.size() + ex.recvs.size();
+  for (mesh::dat_id d : dats_needing_exchange(st, rec)) {
+    exs.push_back(&loop_exchange(st, d, &ep.metrics.plan_builds));
+    post_exchange(st, *exs.back(), ep.metrics, packs);
   }
-  requests.assign(nslots, sim::Request{});
-  std::size_t slot = 0;
-  for (mesh::dat_id d : exch) {
-    RankDat& rd = st.rank_dat(d);
-    LoopExchange& ex = *st.loop_exchanges[static_cast<std::size_t>(d)];
-    for (std::size_t si = 0; si < ex.sends.size(); ++si) {
-      const LoopExchange::Segment& seg = ex.sends[si];
-      ep.metrics.halo_elems += static_cast<std::int64_t>(seg.idx->size());
-      // Device-side pack: export rows leave device memory for the
-      // transport staging (metered here, on the rank thread).
-      if (dev != nullptr) dev->stage_out(seg.bytes);
-      const std::int32_t spare = ex.send_spare[si];
-      auto pack = [&st, &rd, &ex, &seg, si, out = &requests[slot++],
-                   buf = st.send_buffer(
-                       spare < 0 ? nullptr
-                                 : &ex.recv_bufs[static_cast<std::size_t>(
-                                       spare)],
-                       seg.q, seg.tag, seg.bytes)]() mutable {
-        halo::gather_region(rd.data.data(), &rd.layout, rd.dim, *seg.idx,
-                            buf.data());
-        *out = post_send(st.comm, ex.send_channels, si, seg.q, seg.tag,
-                         std::move(buf));
-      };
-      if (fold)
-        packs.push_back({std::move(pack), {{d, seg.idx}}});
-      else
-        pack();
-    }
-    for (std::size_t i = 0; i < ex.recvs.size(); ++i)
-      requests[slot++] = post_recv(st.comm, ex.recv_channels, i,
-                                   ex.recvs[i].q, ex.recvs[i].tag,
-                                   &ex.recv_bufs[i]);
-  }
-
   ep.mark(Epoch::kPack);
 
   // -- 2. Core iterations overlap with the exchange (a pooled rank also
   //       runs the pack tasks inside this epoch). -----------------------
   const lidx_t core_end = lay.core_count(1);
-  ep.metrics.core_iters = fold ? run_range_tasks(st, rec, 0, core_end, packs)
-                               : run_range(st, rec, 0, core_end);
+  ep.metrics.core_iters = st.pool != nullptr
+                              ? run_range_tasks(st, rec, 0, core_end, packs)
+                              : run_range(st, rec, 0, core_end);
   ep.mark(Epoch::kCore);
 
   // -- 3. MPI_Wait + unpack. -------------------------------------------
-  st.comm.wait_all(requests);
-  ep.mark(Epoch::kWait);
-
-  for (mesh::dat_id d : exch) {
-    RankDat& rd = st.rank_dat(d);
-    LoopExchange& ex = *st.loop_exchanges[static_cast<std::size_t>(d)];
-    for (std::size_t i = 0; i < ex.recvs.size(); ++i) {
-      const LoopExchange::Segment& seg = ex.recvs[i];
-      ByteBuf& buf = ex.recv_bufs[i];
-      OP2CA_ASSERT(buf.size() == seg.bytes,
-                   "level-1 halo payload size mismatch");
-      const std::size_t used = halo::unpack_region(
-          rd.data.data(), &rd.layout, rd.dim, *seg.idx, buf, 0);
-      OP2CA_ASSERT(used == buf.size(), "level-1 halo unpack short");
-      if (dev != nullptr) dev->stage_in(seg.bytes);  // device-side unpack
-      if (!ex.recv_kept[i])
-        st.return_to_sender(std::move(buf), seg.q, seg.tag);
-    }
-    rd.fresh_depth = std::max(rd.fresh_depth, 1);
-  }
-  ep.mark(Epoch::kUnpack);
+  complete_exchanges(st, exs, ep);
 
   // -- 4. Owned boundary + level-1 import-exec halo. --------------------
   ep.metrics.halo_iters = run_range(st, rec, core_end, lay.num_owned);

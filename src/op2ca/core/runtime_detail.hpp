@@ -46,50 +46,30 @@ struct RankDat {
   int fresh_depth = 0;
 };
 
-/// Cached level-1 exchange of one dat for the classic per-loop executor:
-/// the (neighbour, class) walk over the export/import list maps flattened
-/// into plain segment arrays, so steady-state loops post their messages
-/// with no map lookups. Index lists point into the rank's HaloPlan
-/// (stable for the World's lifetime).
-struct LoopExchange {
-  struct Segment {
-    rank_t q = -1;
-    sim::tag_t tag = 0;
-    const LIdxVec* idx = nullptr;  ///< level-1 rows (exec or nonexec).
-    std::size_t bytes = 0;
-  };
-  std::vector<Segment> sends;
-  std::vector<Segment> recvs;
-  /// Receive slots, recvs-parallel. A slot paired with a send to the
+/// One cached halo exchange, the single message machinery of both
+/// executors: the participating dats' sync specs (data pointers rebound
+/// each epoch), the grouped-plan sides — each with its peer, tag and
+/// flattened gather/scatter lists — and reusable receive slots, requests
+/// and persistent channels. The OP2 executor caches one per dat (Eq (1):
+/// an exec and a nonexec message per neighbour), the CA executor one per
+/// (chain, stale mask) (Fig 8: one grouped message per neighbour).
+/// Steady-state epochs touch no maps and allocate nothing.
+struct Exchange {
+  std::vector<mesh::dat_id> dats;  ///< specs-parallel.
+  std::vector<halo::DatSyncSpec> specs;
+  std::vector<halo::GroupedPlan::Side> sides;
+  /// Receive slots, sides-parallel. A slot paired with a send to the
   /// same peer keeps its payload for that send's next pack.
   std::vector<ByteBuf> recv_bufs;
-  /// sends-parallel: the paired recv slot (the k-th send to a peer pairs
-  /// with the k-th receive from it), or -1 for an unpaired send.
+  /// sides-parallel: the receive slot a side's send packs into (the k-th
+  /// send to a peer pairs with the k-th receive from it), or -1 for an
+  /// unpaired send.
   std::vector<std::int32_t> send_spare;
-  std::vector<bool> recv_kept;  ///< recvs-parallel: paired with a send.
-  /// Persistent channels (WorldConfig::transport.persistent): negotiated
-  /// once when the exchange is built, parallel to sends/recvs. Empty
-  /// when persistence is off.
-  std::vector<sim::Channel> send_channels;
-  std::vector<sim::Channel> recv_channels;
-};
-
-/// One persistent grouped exchange of a chain for a fixed set of stale
-/// dats: sync specs (data pointers rebound each epoch), the flattened
-/// GroupedPlan, and reusable receive slots. Built once per (chain,
-/// stale-mask); steady-state epochs touch no maps and allocate nothing.
-struct ChainExchange {
-  std::vector<mesh::dat_id> dats;          ///< specs-parallel.
-  std::vector<halo::DatSyncSpec> specs;
-  halo::GroupedPlan plan;
-  /// Receive slots, sides-parallel. A side that also sends keeps its
-  /// payload for that send's next pack.
-  std::vector<ByteBuf> recv_bufs;
-  std::vector<sim::Request> requests;             ///< reused capacity.
+  std::vector<bool> recv_kept;  ///< sides-parallel: paired with a send.
+  std::vector<sim::Request> requests;  ///< reused capacity.
   /// Persistent channels (WorldConfig::transport.persistent), negotiated
-  /// once per (chain, stale-mask) exchange and keyed by the same
-  /// structural hash that invalidates the plan. Sides-parallel; empty
-  /// when persistence is off.
+  /// once when the exchange is built and keyed by the hash of whatever
+  /// invalidates it. Sides-parallel; empty when persistence is off.
   std::vector<sim::Channel> send_channels;
   std::vector<sim::Channel> recv_channels;
 };
@@ -101,7 +81,7 @@ struct ChainPlan {
   std::uint64_t structure = 0;
   ChainAnalysis analysis;
   std::vector<LIdxVec> exec_lists;  ///< per-loop sparse-tiling slice.
-  std::map<std::uint64_t, ChainExchange> exchanges;  ///< by stale mask.
+  std::map<std::uint64_t, Exchange> exchanges;  ///< by stale mask.
 };
 
 /// A staging task folded into a loop's task-graph epoch (pooled
@@ -174,7 +154,7 @@ struct RankState {
   // Inspector-built plans, cached by chain name (CA executor) and by dat
   // (per-loop executor), plus the staging-buffer pool shared by both.
   std::map<std::string, ChainPlan> chain_plans;
-  std::vector<std::unique_ptr<LoopExchange>> loop_exchanges;  ///< per dat.
+  std::vector<std::unique_ptr<Exchange>> loop_exchanges;  ///< per dat.
   BufferPool staging;
   /// Payloads of this rank's unpaired sends, handed back by their
   /// receivers and keyed by (destination, tag, bytes). Receivers push
@@ -182,7 +162,6 @@ struct RankState {
   std::mutex returned_mu;
   std::map<std::tuple<rank_t, sim::tag_t, std::size_t>, std::vector<ByteBuf>>
       returned;
-  std::vector<sim::Request> loop_requests;  ///< per-loop scratch, reused.
   std::int64_t dispatch_regions = 0;  ///< running region-body call count.
 
   // Intra-rank threading (WorldConfig::threads_per_rank > 1): the worker
@@ -252,26 +231,6 @@ struct RankState {
                                const std::vector<double>& global_data);
 };
 
-/// Posts send `i` of an exchange: through its persistent channel when the
-/// exchange negotiated them (`chans` non-empty), as a plain isend
-/// otherwise.
-inline sim::Request post_send(sim::Comm& comm,
-                              const std::vector<sim::Channel>& chans,
-                              std::size_t i, rank_t q, sim::tag_t tag,
-                              ByteBuf buf) {
-  return chans.empty() ? comm.isend(q, tag, std::move(buf))
-                       : comm.channel_isend(chans[i], std::move(buf));
-}
-
-/// Receive-side twin of post_send.
-inline sim::Request post_recv(sim::Comm& comm,
-                              const std::vector<sim::Channel>& chans,
-                              std::size_t i, rank_t q, sim::tag_t tag,
-                              ByteBuf* out) {
-  return chans.empty() ? comm.irecv(q, tag, out)
-                       : comm.channel_irecv(chans[i], out);
-}
-
 /// The bookkeeping every executor epoch shares, over the loops it runs
 /// (one for OP2, the chain window for CA). Construction starts the wall
 /// timer, resets the comm epoch, snapshots the rank's running counters
@@ -305,6 +264,31 @@ private:
   LoopMetrics before_;  ///< running counters at construction.
   gpu::DeviceStats dev_before_;
 };
+
+/// Builds an exchange of `syncs` (each dat's layers 1..depth) over the
+/// rank's halo plan: one exec+nonexec message per neighbour on `tag`, or
+/// with `per_class` an exec message on `tag` then a nonexec message on
+/// `tag + 1` per neighbour. Pairs each send with a receive slot of the
+/// same peer, provisions the unpaired sends' buffers, negotiates
+/// persistent channels under `channel_hash` when they are on, and counts
+/// one plan build.
+Exchange build_exchange(RankState& st, std::span<const DatSync> syncs,
+                        sim::tag_t tag, bool per_class,
+                        std::uint64_t channel_hash,
+                        std::int64_t* plan_builds);
+
+/// Posts `ex`: rebinds its specs to the dats' current storage, packs and
+/// sends every outgoing message — inline, or on a pooled rank as tasks
+/// appended to `packs` for the caller's core epoch — and posts the
+/// receives. Meters halo_elems into `m` and the device-side pack.
+void post_exchange(RankState& st, Exchange& ex, LoopMetrics& m,
+                   std::vector<PackTask>& packs);
+
+/// Waits for every exchange in `exs` (marking the epoch's wait), unpacks
+/// them, recycles their buffers and raises the dats' fresh depth
+/// (marking the unpack).
+void complete_exchanges(RankState& st, std::span<Exchange* const> exs,
+                        Epoch& ep);
 
 /// The SPMD metrics wire: per map entry, [u32 name length | name | each
 /// kMetricFields value as 8 bytes].

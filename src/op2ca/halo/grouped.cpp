@@ -19,14 +19,19 @@ const std::vector<LIdxVec>* find_lists(
 template <typename Fn>
 void for_each_segment(const RankPlan& rp, rank_t q,
                       std::span<const DatSyncSpec> specs, bool exports,
-                      Fn&& fn) {
+                      Fn&& fn,
+                      HaloClasses classes = HaloClasses::kExecNonexec) {
   for (const DatSyncSpec& spec : specs) {
     const NeighborLists& nl =
         rp.lists[static_cast<std::size_t>(spec.set)];
     const std::vector<LIdxVec>* exec =
-        find_lists(exports ? nl.exp_exec : nl.imp_exec, q);
+        classes == HaloClasses::kNonexec
+            ? nullptr
+            : find_lists(exports ? nl.exp_exec : nl.imp_exec, q);
     const std::vector<LIdxVec>* nonexec =
-        find_lists(exports ? nl.exp_nonexec : nl.imp_nonexec, q);
+        classes == HaloClasses::kExec
+            ? nullptr
+            : find_lists(exports ? nl.exp_nonexec : nl.imp_nonexec, q);
     for (int k = 1; k <= spec.depth; ++k) {
       if (exec != nullptr &&
           k <= static_cast<int>(exec->size()))
@@ -39,52 +44,34 @@ void for_each_segment(const RankPlan& rp, rank_t q,
   }
 }
 
-/// Element-major scatter of a raw [idx, idx + n) subrange.
-void scatter_range(double* data, int dim, const lidx_t* idx, std::size_t n,
-                   const std::byte* src) {
-  const std::size_t row_bytes = static_cast<std::size_t>(dim) * sizeof(double);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::memcpy(data + static_cast<std::size_t>(idx[i]) *
-                           static_cast<std::size_t>(dim),
-                src, row_bytes);
-    src += row_bytes;
-  }
-}
-
-/// True when this spec's message region uses the legacy element-major
-/// wire shape (null layout or AoS storage).
-bool region_is_rows(const DatSyncSpec& spec) {
-  return spec.layout == nullptr || spec.layout->is_aos();
-}
-
-/// Component-major gather of list positions [b, e) out of a region of
-/// `n` total rows: component c of list slot j lands at region double
-/// c * n + j. Under SoA the inner j-loop reads one contiguous component
-/// plane and writes a unit-stride run — a pure streaming copy whenever
-/// the export rows are consecutive (which the locality layer arranges).
+/// Component-major gather of one region: component c of list slot j
+/// lands at region double c * idx.size() + j. Under SoA the inner j-loop
+/// reads one contiguous component plane and writes a unit-stride run — a
+/// pure streaming copy whenever the export rows are consecutive (which
+/// the locality layer arranges).
 void gather_cm(const double* data, const mesh::DatLayout& lay,
-               const lidx_t* idx, std::size_t b, std::size_t e,
-               std::size_t n, std::byte* region) {
+               const LIdxVec& idx, std::byte* region) {
   double* out = reinterpret_cast<double*>(region);
+  const std::size_t n = idx.size();
   for (int c = 0; c < lay.dim; ++c) {
     double* dst = out + static_cast<std::size_t>(c) * n;
     const std::size_t coff = static_cast<std::size_t>(c) *
                              static_cast<std::size_t>(lay.cstride);
-    for (std::size_t j = b; j < e; ++j)
+    for (std::size_t j = 0; j < n; ++j)
       dst[j] = data[lay.elem_offset(idx[j]) + coff];
   }
 }
 
 /// Scatter counterpart of gather_cm.
-void scatter_cm(double* data, const mesh::DatLayout& lay, const lidx_t* idx,
-                std::size_t b, std::size_t e, std::size_t n,
+void scatter_cm(double* data, const mesh::DatLayout& lay, const LIdxVec& idx,
                 const std::byte* region) {
   const double* in = reinterpret_cast<const double*>(region);
+  const std::size_t n = idx.size();
   for (int c = 0; c < lay.dim; ++c) {
     const double* src = in + static_cast<std::size_t>(c) * n;
     const std::size_t coff = static_cast<std::size_t>(c) *
                              static_cast<std::size_t>(lay.cstride);
-    for (std::size_t j = b; j < e; ++j)
+    for (std::size_t j = 0; j < n; ++j)
       data[lay.elem_offset(idx[j]) + coff] = src[j];
   }
 }
@@ -131,7 +118,7 @@ void gather_region(const double* data, const mesh::DatLayout* lay, int dim,
     gather_rows(data, dim, idx, out);
     return;
   }
-  gather_cm(data, *lay, idx.data(), 0, idx.size(), idx.size(), out);
+  gather_cm(data, *lay, idx, out);
 }
 
 std::size_t unpack_region(double* data, const mesh::DatLayout* lay, int dim,
@@ -143,8 +130,7 @@ std::size_t unpack_region(double* data, const mesh::DatLayout* lay, int dim,
       idx.size() * static_cast<std::size_t>(dim) * sizeof(double);
   OP2CA_REQUIRE(offset + bytes <= in.size(),
                 "unpack_region: payload too short");
-  scatter_cm(data, *lay, idx.data(), 0, idx.size(), idx.size(),
-             in.data() + offset);
+  scatter_cm(data, *lay, idx, in.data() + offset);
   return offset + bytes;
 }
 
@@ -208,26 +194,32 @@ void unpack_grouped(const RankPlan& rp, rank_t q,
 }
 
 GroupedPlan build_grouped_plan(const RankPlan& rp,
-                               std::span<const DatSyncSpec> specs) {
+                               std::span<const DatSyncSpec> specs,
+                               sim::tag_t tag, HaloClasses classes) {
   GroupedPlan plan;
   for (rank_t q : rp.neighbors) {
     GroupedPlan::Side side;
     side.q = q;
+    side.tag = tag;
     side.gather.resize(specs.size());
     side.scatter.resize(specs.size());
     for (std::size_t s = 0; s < specs.size(); ++s) {
       const std::size_t row =
           static_cast<std::size_t>(specs[s].dim) * sizeof(double);
-      for_each_segment(rp, q, specs.subspan(s, 1), /*exports=*/true,
-                       [&](const DatSyncSpec&, const LIdxVec& idx) {
-                         side.gather[s].insert(side.gather[s].end(),
-                                               idx.begin(), idx.end());
-                       });
-      for_each_segment(rp, q, specs.subspan(s, 1), /*exports=*/false,
-                       [&](const DatSyncSpec&, const LIdxVec& idx) {
-                         side.scatter[s].insert(side.scatter[s].end(),
-                                                idx.begin(), idx.end());
-                       });
+      for_each_segment(
+          rp, q, specs.subspan(s, 1), /*exports=*/true,
+          [&](const DatSyncSpec&, const LIdxVec& idx) {
+            side.gather[s].insert(side.gather[s].end(), idx.begin(),
+                                  idx.end());
+          },
+          classes);
+      for_each_segment(
+          rp, q, specs.subspan(s, 1), /*exports=*/false,
+          [&](const DatSyncSpec&, const LIdxVec& idx) {
+            side.scatter[s].insert(side.scatter[s].end(), idx.begin(),
+                                   idx.end());
+          },
+          classes);
       side.send_bytes += side.gather[s].size() * row;
       side.recv_bytes += side.scatter[s].size() * row;
     }
@@ -249,53 +241,13 @@ void pack_grouped(const GroupedPlan::Side& side,
 
 void unpack_grouped(const GroupedPlan::Side& side,
                     std::span<const DatSyncSpec> specs,
-                    std::span<const std::byte> payload,
-                    util::ThreadPool* pool) {
+                    std::span<const std::byte> payload) {
   OP2CA_REQUIRE(payload.size() == side.recv_bytes,
                 "unpack_grouped: payload does not match the plan");
-  if (pool == nullptr || pool->threads() <= 1) {
-    const std::byte* src = payload.data();
-    for (std::size_t s = 0; s < specs.size(); ++s) {
-      if (region_is_rows(specs[s]))
-        scatter_range(specs[s].data, specs[s].dim, side.scatter[s].data(),
-                      side.scatter[s].size(), src);
-      else
-        scatter_cm(specs[s].data, *specs[s].layout,
-                   side.scatter[s].data(), 0, side.scatter[s].size(),
-                   side.scatter[s].size(), src);
-      src += side.scatter[s].size() *
-             static_cast<std::size_t>(specs[s].dim) * sizeof(double);
-    }
-    return;
-  }
-  // Import rows within a side are distinct, so chunks touch disjoint
-  // dat rows and the scatter is race-free at any width.
-  std::vector<std::size_t> base(specs.size());
-  std::size_t off = 0;
-  for (std::size_t s = 0; s < specs.size(); ++s) {
-    base[s] = off;
-    off += side.scatter[s].size() *
-           static_cast<std::size_t>(specs[s].dim) * sizeof(double);
-  }
-  const std::size_t nt = static_cast<std::size_t>(pool->threads());
-  pool->run([&](int t) {
-    for (std::size_t s = 0; s < specs.size(); ++s) {
-      const std::size_t row =
-          static_cast<std::size_t>(specs[s].dim) * sizeof(double);
-      const std::size_t n = side.scatter[s].size();
-      const std::size_t b = n * static_cast<std::size_t>(t) / nt;
-      const std::size_t e = n * (static_cast<std::size_t>(t) + 1) / nt;
-      if (b == e) continue;
-      if (region_is_rows(specs[s]))
-        scatter_range(specs[s].data, specs[s].dim,
-                      side.scatter[s].data() + b, e - b,
-                      payload.data() + base[s] + b * row);
-      else
-        scatter_cm(specs[s].data, *specs[s].layout,
-                   side.scatter[s].data(), b, e, n,
-                   payload.data() + base[s]);
-    }
-  });
+  std::size_t offset = 0;
+  for (std::size_t s = 0; s < specs.size(); ++s)
+    offset = unpack_region(specs[s].data, specs[s].layout, specs[s].dim,
+                           side.scatter[s], payload, offset);
 }
 
 }  // namespace op2ca::halo

@@ -4,9 +4,12 @@
 // iterate the same (dat, class, layer) sequence over symmetric lists, so
 // offsets agree without any header.
 //
-// The same pack/unpack primitives serve the baseline per-loop exchange
-// (one dat, one layer, exec and nonexec sent as two separate messages —
-// the 2 d p m^1 term of Eq (1)).
+// A GroupedPlan flattens that walk once per exchange and carries each
+// message's tag. Its class selection makes it the one message shape of
+// both executors: the CA chain exchange is one exec+nonexec plan (one
+// message per neighbour), and the per-loop OP2 exchange of a dat is two
+// single-class plans at depth 1, exec and nonexec on their own tags (the
+// 2 d p m^1 term of Eq (1)).
 #pragma once
 
 #include <cstddef>
@@ -14,10 +17,10 @@
 #include <span>
 #include <vector>
 
+#include "op2ca/comm/transport.hpp"
 #include "op2ca/halo/halo_plan.hpp"
 #include "op2ca/mesh/layout.hpp"
 #include "op2ca/util/aligned.hpp"
-#include "op2ca/util/thread_pool.hpp"
 
 namespace op2ca::halo {
 
@@ -83,6 +86,9 @@ void unpack_grouped(const RankPlan& rp, rank_t q,
                     std::span<const DatSyncSpec> specs,
                     std::span<const std::byte> payload);
 
+/// The halo classes a grouped message carries.
+enum class HaloClasses { kExecNonexec, kExec, kNonexec };
+
 /// Persistent grouped-exchange plan: the (dat, class, layer) segment walk
 /// of a grouped message flattened, per neighbour, into one concatenated
 /// gather (export) and scatter (import) row-index list per dat, plus the
@@ -96,9 +102,10 @@ void unpack_grouped(const RankPlan& rp, rank_t q,
 struct GroupedPlan {
   struct Side {
     rank_t q = -1;
+    sim::tag_t tag = 0;  ///< of both the message to q and the one from q.
     /// gather[s] / scatter[s]: specs[s]'s export / import rows toward /
-    /// from q — exec layers 1..depth then nonexec layers 1..depth,
-    /// concatenated in canonical message order.
+    /// from q — the selected classes' layers 1..depth (exec before
+    /// nonexec), concatenated in canonical message order.
     std::vector<LIdxVec> gather;
     std::vector<LIdxVec> scatter;
     std::size_t send_bytes = 0;
@@ -108,9 +115,11 @@ struct GroupedPlan {
   std::vector<Side> sides;
 };
 
-/// Flattens the segment walk for every neighbour of `rp`.
-GroupedPlan build_grouped_plan(const RankPlan& rp,
-                               std::span<const DatSyncSpec> specs);
+/// Flattens the segment walk of `classes` for every neighbour of `rp`,
+/// in neighbour-ascending order; every side carries `tag`.
+GroupedPlan build_grouped_plan(
+    const RankPlan& rp, std::span<const DatSyncSpec> specs,
+    sim::tag_t tag = 0, HaloClasses classes = HaloClasses::kExecNonexec);
 
 /// Packs the grouped message toward side.q into `out`, which must hold
 /// side.send_bytes. Allocation-free by construction. Serial: on a pooled
@@ -119,12 +128,8 @@ void pack_grouped(const GroupedPlan::Side& side,
                   std::span<const DatSyncSpec> specs, std::byte* out);
 
 /// Unpacks a received grouped payload (side.recv_bytes long) from side.q.
-/// With a pool, scatter lists chunk the same way; every local row appears
-/// at most once across a side's scatter lists, so chunks write disjoint
-/// dat rows.
 void unpack_grouped(const GroupedPlan::Side& side,
                     std::span<const DatSyncSpec> specs,
-                    std::span<const std::byte> payload,
-                    util::ThreadPool* pool = nullptr);
+                    std::span<const std::byte> payload);
 
 }  // namespace op2ca::halo

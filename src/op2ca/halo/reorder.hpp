@@ -24,8 +24,7 @@
 // gathers then walk ascending addresses, which is what lets the compiler
 // vectorise them.
 //
-// Everything downstream (per-rank dats, LoopExchange / GroupedPlan
-// caches, colourings, the chain inspector's slice tables) is built
+// Everything downstream (per-rank dats, the executors' cached exchanges, colourings, the chain inspector's slice tables) is built
 // lazily from the plan *after* the World constructor runs this, so no
 // cache ever observes the pre-permutation numbering.
 #pragma once

@@ -163,6 +163,93 @@ TEST(RuntimeOp2, WriteDirtiesHaloAndTriggersExchange) {
   EXPECT_EQ(metrics.at("update").msgs, 0);
 }
 
+/// Direct RW of one dat: leaves its level-1 halo stale.
+struct Dirty {
+  template <typename D>
+  void operator()(D d) const {
+    d[0] += 1.0;
+  }
+};
+
+/// Indirect reads of a node dat and a cell dat into an indirect INC.
+struct ReadTwo {
+  template <typename F1, typename F2, typename R1, typename R2, typename C1,
+            typename C2>
+  void operator()(F1 f1, F2 f2, R1 r1, R2 r2, C1 c1, C2 c2) const {
+    f1[0] += r1[0] - c2[3];
+    f2[1] += r2[1] - c1[2];
+  }
+};
+
+TEST(RuntimeOp2, LoopMessagesFollowEquationOne) {
+  // Alg 1 refreshes each stale dat's level-1 halo with two messages per
+  // neighbour, exec and nonexec (the 2 d p m^1 term of Eq (1)), so a
+  // loop's traffic follows from the halo plan alone: one message per
+  // non-empty level-1 export list, carrying rows * dim doubles. Nodes
+  // only have nonexec halos here; cells (the c2n source) have both.
+  for (const bool persistent : {false, true})
+    for (const mesh::LayoutKind kind :
+         {mesh::LayoutKind::AoS, mesh::LayoutKind::SoA}) {
+      SCOPED_TRACE(std::string(persistent ? "persistent " : "ad-hoc ") +
+                   mesh::layout_name(kind));
+      QuadProblem p = make_quad_problem(12, 12);
+      std::vector<std::pair<mesh::set_id, int>> stale;  // (set, dim).
+      for (mesh::dat_id d : {p.res, p.cw})
+        stale.emplace_back(p.q.mesh.dat(d).set, p.q.mesh.dat(d).dim);
+      WorldConfig cfg = config_for(4, partition::Kind::KWay);
+      cfg.transport.persistent = persistent;
+      cfg.layout.kind = kind;
+      World w(std::move(p.q.mesh), cfg);
+      auto step = [](Runtime& rt) {
+        const Dat res = rt.dat("res"), cw = rt.dat("cw"),
+                  flux = rt.dat("flux");
+        const Map e2n = rt.map("e2n"), e2c = rt.map("e2c");
+        rt.par_loop("dirty_res", rt.set("nodes"), Dirty{},
+                    arg_dat(res, Access::RW));
+        rt.par_loop("dirty_cw", rt.set("cells"), Dirty{},
+                    arg_dat(cw, Access::RW));
+        rt.par_loop("read_two", rt.set("edges"), ReadTwo{},
+                    arg_dat(flux, 0, e2n, Access::INC),
+                    arg_dat(flux, 1, e2n, Access::INC),
+                    arg_dat(res, 0, e2n, Access::READ),
+                    arg_dat(res, 1, e2n, Access::READ),
+                    arg_dat(cw, 0, e2c, Access::READ),
+                    arg_dat(cw, 1, e2c, Access::READ));
+      };
+      // The first run builds the exchanges (and negotiates channels,
+      // whose handshakes are messages too); the second is steady state.
+      w.run(step);
+      w.clear_metrics();
+      w.run(step);
+
+      std::int64_t msgs[2] = {0, 0}, bytes = 0, elems = 0;
+      for (const halo::RankPlan& rp : w.plan().ranks)
+        for (const auto& [set, dim] : stale) {
+          const halo::NeighborLists& nl =
+              rp.lists[static_cast<std::size_t>(set)];
+          for (int cls = 0; cls < 2; ++cls)
+            for (const auto& [q, layers] :
+                 cls == 0 ? nl.exp_exec : nl.exp_nonexec) {
+              const std::int64_t rows =
+                  layers.empty()
+                      ? 0
+                      : static_cast<std::int64_t>(layers[0].size());
+              if (rows == 0) continue;
+              msgs[cls] += 1;
+              bytes += rows * dim * 8;
+              elems += rows;
+            }
+        }
+      ASSERT_GT(msgs[0], 0);  // both message classes are exercised.
+      ASSERT_GT(msgs[1], 0);
+      const LoopMetrics m = w.loop_metrics().at("read_two");
+      EXPECT_EQ(m.calls, 1);
+      EXPECT_EQ(m.msgs, msgs[0] + msgs[1]);
+      EXPECT_EQ(m.bytes, bytes);
+      EXPECT_EQ(m.halo_elems, elems);
+    }
+}
+
 TEST(RuntimeOp2, GblReductionSumsOwnedOnly) {
   QuadProblem p = make_quad_problem(9, 7);
   const gidx_t nnodes = p.q.mesh.set(p.q.nodes).size;
