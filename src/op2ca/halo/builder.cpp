@@ -19,10 +19,16 @@
 // the partition boundary over symmetric adjacency), so shrinking cores
 // are prefixes. Imports are ordered by (layer, global id); export lists
 // on the owner mirror the importer's order exactly.
+//
+// Classes and inward distances live in dense arrays over each global set
+// (one set per worker, reset after every rank), and the per-rank pass runs
+// rank-parallel (rank_workers.hpp). Export registration stays serial, so
+// the plan is bitwise-independent of the worker count.
 #include <algorithm>
-#include <unordered_map>
+#include <limits>
 
 #include "op2ca/halo/halo_plan.hpp"
+#include "op2ca/halo/rank_workers.hpp"
 #include "op2ca/halo/renumber.hpp"
 #include "op2ca/mesh/adjacency.hpp"
 #include "op2ca/util/error.hpp"
@@ -31,127 +37,151 @@
 namespace op2ca::halo {
 namespace {
 
-/// Classification code: 0 = owned, +k = exec layer k, -k = nonexec layer k.
-using ClsMap = std::unordered_map<gidx_t, int>;
+/// Classification code of an element outside the rank's region.
+constexpr int kUnreached = std::numeric_limits<int>::min();
 
-/// Elements promoted from nonexec layer k to a deeper exec layer. They
-/// keep an alias entry in the nonexec import/export lists at their
-/// original layer k: iterations of layer k read them, so a level-k halo
-/// exchange must still deliver their values even though their local slot
-/// lives in the exec segment. (Arises when a set is both map source and
-/// target, e.g. multigrid nodes reached first as a read fringe and later
-/// as redundant work.)
-struct Promotion {
-  mesh::set_id set;
-  gidx_t gid;
-  int read_layer;  ///< original nonexec layer.
-};
-
-struct Frontier {
-  std::vector<std::pair<mesh::set_id, gidx_t>> elems;
-};
+using ElemList = std::vector<std::pair<mesh::set_id, gidx_t>>;
 
 struct GlobalContext {
   const mesh::MeshDef* mesh;
   const partition::Partition* part;
   std::vector<mesh::Csr> reverse;                 ///< per map id.
   std::vector<std::vector<GIdxVec>> owned;        ///< [rank][set] gids.
-  /// owned_local_idx[set][gid] = local index on the owning rank (filled
-  /// as each rank's layout is finalized; used for export registration).
-  std::vector<LIdxVec> owned_local_idx;
   /// Per-set map indices, so the per-element BFS loops do not scan every
   /// map of the mesh (the builder's hottest paths).
   std::vector<std::vector<mesh::map_id>> maps_from;  ///< [set].
   std::vector<std::vector<mesh::map_id>> maps_to;    ///< [set].
 };
 
-/// Walks one rank's classification BFS up to `depth` layers. Appends any
-/// nonexec-to-exec promotions to `promotions`.
-std::vector<ClsMap> classify_rank(const GlobalContext& ctx, rank_t r,
-                                  int depth,
-                                  std::vector<Promotion>* promotions) {
-  const mesh::MeshDef& mesh = *ctx.mesh;
-  const int nsets = mesh.num_sets();
-  std::vector<ClsMap> cls(static_cast<std::size_t>(nsets));
+/// One worker's dense per-set state, sized to the global sets once (on
+/// the calling thread) and returned to its reset state after each rank.
+struct Workspace {
+  /// cls[set][gid]: +k = exec layer k, -k = nonexec layer k,
+  /// kUnreached = outside the region. An owned element holds 0, then
+  /// (from compute_din_all on) its inward distance; 0 = not reached.
+  std::vector<std::vector<int>> cls;
+  /// imports[set]: every foreign element the rank classified, once each.
+  std::vector<GIdxVec> imports;
+  /// Elements promoted from nonexec layer k to a deeper exec layer, as
+  /// aliases[set] = (k, gid). They keep an alias entry in the nonexec
+  /// import/export lists at their original layer k: iterations of layer
+  /// k read them, so a level-k halo exchange must still deliver their
+  /// values even though their local slot lives in the exec segment.
+  /// (Arises when a set is both map source and target, e.g. multigrid
+  /// nodes reached first as a read fringe and later as redundant work.)
+  std::vector<std::vector<std::pair<int, gidx_t>>> aliases;
 
-  Frontier frontier;
-  for (mesh::set_id s = 0; s < nsets; ++s) {
-    for (gidx_t g : ctx.owned[static_cast<std::size_t>(r)]
-                        [static_cast<std::size_t>(s)]) {
-      cls[static_cast<std::size_t>(s)].emplace(g, 0);
-      frontier.elems.emplace_back(s, g);
-    }
+  explicit Workspace(const mesh::MeshDef& mesh) {
+    const auto nsets = static_cast<std::size_t>(mesh.num_sets());
+    cls.resize(nsets);
+    imports.resize(nsets);
+    aliases.resize(nsets);
+    for (mesh::set_id s = 0; s < mesh.num_sets(); ++s)
+      cls[static_cast<std::size_t>(s)].assign(
+          static_cast<std::size_t>(mesh.set(s).size), kUnreached);
   }
 
+  /// Undoes one rank's writes: its region is exactly its local elements.
+  void reset(const RankPlan& rp) {
+    for (std::size_t s = 0; s < rp.sets.size(); ++s) {
+      const SetLayout& lay = rp.sets[s];
+      for (gidx_t g : lay.local_to_global)
+        cls[s][static_cast<std::size_t>(g)] = kUnreached;
+      imports[s].clear();
+      aliases[s].clear();
+    }
+  }
+};
+
+/// Walks one rank's classification BFS up to `depth` layers into
+/// ws->cls, ws->imports and ws->aliases.
+void classify_rank(const GlobalContext& ctx, rank_t r, int depth,
+                   Workspace* ws) {
+  const mesh::MeshDef& mesh = *ctx.mesh;
+  const int nsets = mesh.num_sets();
+  auto& cls = ws->cls;
+
+  const auto& owned = ctx.owned[static_cast<std::size_t>(r)];
+  for (mesh::set_id s = 0; s < nsets; ++s)
+    for (gidx_t g : owned[static_cast<std::size_t>(s)])
+      cls[static_cast<std::size_t>(s)][static_cast<std::size_t>(g)] = 0;
+
+  ElemList frontier;  // the region's newest elements (owned at layer 1).
   for (int layer = 1; layer <= depth; ++layer) {
-    Frontier next;
+    ElemList next;
 
     // Phase 1: exec discovery. Any unclassified (or nonexec) element with
     // a forward map target in the frontier's region joins exec layer
     // `layer`. Reverse incidence of frontier elements enumerates exactly
     // those candidates.
-    std::vector<std::pair<mesh::set_id, gidx_t>> new_exec;
-    for (const auto& [ts, tg] : frontier.elems) {
+    ElemList new_exec;
+    auto discover_sources_of = [&](mesh::set_id ts, gidx_t tg) {
       for (mesh::map_id m : ctx.maps_to[static_cast<std::size_t>(ts)]) {
-        const mesh::MapDef& mp = mesh.map(m);
+        const mesh::set_id fs = mesh.map(m).from;
+        auto& fc = cls[static_cast<std::size_t>(fs)];
         for (gidx_t f : ctx.reverse[static_cast<std::size_t>(m)].row(tg)) {
-          auto& fc = cls[static_cast<std::size_t>(mp.from)];
-          auto it = fc.find(f);
-          if (it == fc.end()) {
-            fc.emplace(f, layer);
-            new_exec.emplace_back(mp.from, f);
-          } else if (it->second < 0) {
+          int& code = fc[static_cast<std::size_t>(f)];
+          if (code == kUnreached) {
+            code = layer;
+            ws->imports[static_cast<std::size_t>(fs)].push_back(f);
+            new_exec.emplace_back(fs, f);
+          } else if (code < 0) {
             // Promote nonexec fringe element to exec at this layer,
             // remembering its original read layer for list aliasing.
-            promotions->push_back(Promotion{mp.from, f, -it->second});
-            it->second = layer;
-            new_exec.emplace_back(mp.from, f);
-          }
-        }
-      }
-    }
-
-    // Phase 2: nonexec fringe — unclassified targets of the new exec
-    // elements (and, at layer 1, of all owned from-elements).
-    auto add_targets_of = [&](mesh::set_id fs, gidx_t f) {
-      for (mesh::map_id m : ctx.maps_from[static_cast<std::size_t>(fs)]) {
-        const mesh::MapDef& mp = mesh.map(m);
-        for (int k = 0; k < mp.arity; ++k) {
-          const gidx_t t =
-              mp.targets[static_cast<std::size_t>(f * mp.arity + k)];
-          auto& tc = cls[static_cast<std::size_t>(mp.to)];
-          if (tc.find(t) == tc.end()) {
-            tc.emplace(t, -layer);
-            next.elems.emplace_back(mp.to, t);
+            ws->aliases[static_cast<std::size_t>(fs)].emplace_back(-code, f);
+            code = layer;
+            new_exec.emplace_back(fs, f);
           }
         }
       }
     };
     if (layer == 1) {
       for (mesh::set_id s = 0; s < nsets; ++s)
-        for (gidx_t g : ctx.owned[static_cast<std::size_t>(r)]
-                            [static_cast<std::size_t>(s)])
+        for (gidx_t g : owned[static_cast<std::size_t>(s)])
+          discover_sources_of(s, g);
+    }
+    for (const auto& [ts, tg] : frontier) discover_sources_of(ts, tg);
+
+    // Phase 2: nonexec fringe — unclassified targets of the new exec
+    // elements (and, at layer 1, of all owned from-elements).
+    auto add_targets_of = [&](mesh::set_id fs, gidx_t f) {
+      for (mesh::map_id m : ctx.maps_from[static_cast<std::size_t>(fs)]) {
+        const mesh::MapDef& mp = mesh.map(m);
+        auto& tc = cls[static_cast<std::size_t>(mp.to)];
+        for (int k = 0; k < mp.arity; ++k) {
+          const gidx_t t =
+              mp.targets[static_cast<std::size_t>(f * mp.arity + k)];
+          int& code = tc[static_cast<std::size_t>(t)];
+          if (code == kUnreached) {
+            code = -layer;
+            ws->imports[static_cast<std::size_t>(mp.to)].push_back(t);
+            next.emplace_back(mp.to, t);
+          }
+        }
+      }
+    };
+    if (layer == 1) {
+      for (mesh::set_id s = 0; s < nsets; ++s)
+        for (gidx_t g : owned[static_cast<std::size_t>(s)])
           add_targets_of(s, g);
     }
     for (const auto& [fs, f] : new_exec) add_targets_of(fs, f);
 
-    for (const auto& e : new_exec) next.elems.push_back(e);
+    next.insert(next.end(), new_exec.begin(), new_exec.end());
     frontier = std::move(next);
   }
-
-  return cls;
 }
 
-/// Inward distances of one rank's owned elements, all sets jointly: BFS
-/// from the partition boundary over the bipartite element graph where one
-/// map hop (source <-> target, either direction) is distance 1. These are
+/// Inward distances of one rank's owned elements into ws->cls, all sets
+/// jointly (after classify_rank has listed the rank's imports): BFS from
+/// the partition boundary over the bipartite element graph where one map
+/// hop (source <-> target, either direction) is distance 1. These are
 /// the units the CA inspector's core-shrink arithmetic uses: an indirect
 /// access moves exactly one hop, a direct access zero.
-std::vector<std::unordered_map<gidx_t, int>> compute_din_all(
-    const GlobalContext& ctx, rank_t r) {
+void compute_din_all(const GlobalContext& ctx, Workspace* ws) {
   const mesh::MeshDef& mesh = *ctx.mesh;
-  const partition::Partition& part = *ctx.part;
   const int nsets = mesh.num_sets();
+  auto& cls = ws->cls;
 
   // Symmetric neighbour visitor across all maps touching an element.
   auto for_each_neighbor = [&](mesh::set_id es, gidx_t eg, auto&& fn) {
@@ -168,43 +198,160 @@ std::vector<std::unordered_map<gidx_t, int>> compute_din_all(
     }
   };
 
-  std::vector<std::unordered_map<gidx_t, int>> din(
-      static_cast<std::size_t>(nsets));
+  // An owned element still holding 0 has not been reached: give it
+  // distance d and queue it.
+  ElemList frontier, next;
+  auto reach = [&](mesh::set_id ns, gidx_t ng, int d) {
+    int& code =
+        cls[static_cast<std::size_t>(ns)][static_cast<std::size_t>(ng)];
+    if (code == 0) {
+      code = d;
+      next.emplace_back(ns, ng);
+    }
+  };
 
   // Seed: owned elements adjacent to any foreign element have din = 1.
-  std::vector<std::pair<mesh::set_id, gidx_t>> frontier;
-  for (mesh::set_id s = 0; s < nsets; ++s) {
-    for (gidx_t g : ctx.owned[static_cast<std::size_t>(r)]
-                        [static_cast<std::size_t>(s)]) {
-      bool boundary = false;
+  // Every foreign neighbour of an owned element is a layer-1 import (a
+  // map target of an owned element, or a source mapping into one), so
+  // walking the imports' neighbours finds the seeds without visiting the
+  // interior.
+  for (mesh::set_id s = 0; s < nsets; ++s)
+    for (gidx_t g : ws->imports[static_cast<std::size_t>(s)])
       for_each_neighbor(s, g, [&](mesh::set_id ns, gidx_t ng) {
-        if (!boundary && part.owner(ns, ng) != r) boundary = true;
+        reach(ns, ng, 1);
       });
-      if (boundary) {
-        din[static_cast<std::size_t>(s)].emplace(g, 1);
-        frontier.emplace_back(s, g);
+
+  for (int level = 1; !next.empty() && level < SetLayout::kDinCap;
+       ++level) {
+    std::swap(frontier, next);
+    next.clear();
+    for (const auto& [s, g] : frontier)
+      for_each_neighbor(s, g, [&](mesh::set_id ns, gidx_t ng) {
+        reach(ns, ng, level + 1);
+      });
+  }
+}
+
+/// Builds rank r's layouts and import lists from its classification, and
+/// records the owner-local index of each of its owned elements (entries
+/// no other rank writes).
+void layout_rank(const GlobalContext& ctx, rank_t r, int depth, Workspace* ws,
+                 std::vector<LIdxVec>* owned_local_idx, RankPlan* rp) {
+  const partition::Partition& part = *ctx.part;
+  const int nsets = ctx.mesh->num_sets();
+  rp->sets.resize(static_cast<std::size_t>(nsets));
+  rp->lists.resize(static_cast<std::size_t>(nsets));
+
+  for (mesh::set_id s = 0; s < nsets; ++s) {
+    SetLayout& lay = rp->sets[static_cast<std::size_t>(s)];
+    NeighborLists& nl = rp->lists[static_cast<std::size_t>(s)];
+    const std::vector<int>& cls = ws->cls[static_cast<std::size_t>(s)];
+
+    // Owned ordering: din descending, global id ascending — a counting
+    // sort on din, stable over the gid-ascending owned list. Bucket 0
+    // holds the unreached (din = kDinCap), bucket 1 + max_din - d din d.
+    const std::vector<int>& din = cls;  // owned entries hold din.
+    const auto& mine = ctx.owned[static_cast<std::size_t>(r)]
+                                [static_cast<std::size_t>(s)];
+    int max_din = 0;
+    for (gidx_t g : mine)
+      max_din = std::max(max_din, din[static_cast<std::size_t>(g)]);
+    auto bucket = [&](gidx_t g) {
+      const int d = din[static_cast<std::size_t>(g)];
+      return static_cast<std::size_t>(d == 0 ? 0 : 1 + max_din - d);
+    };
+    LIdxVec next_slot(static_cast<std::size_t>(max_din) + 2, 0);
+    for (gidx_t g : mine) ++next_slot[bucket(g) + 1];
+    for (std::size_t b = 1; b < next_slot.size(); ++b)
+      next_slot[b] += next_slot[b - 1];
+
+    GIdxVec& imports = ws->imports[static_cast<std::size_t>(s)];
+    lay.num_owned = static_cast<lidx_t>(mine.size());
+    lay.local_to_global.reserve(mine.size() + imports.size());
+    lay.local_to_global.resize(mine.size());
+    lay.owned_din.resize(mine.size());
+    LIdxVec& owner_local = (*owned_local_idx)[static_cast<std::size_t>(s)];
+    for (gidx_t g : mine) {
+      const lidx_t i = next_slot[bucket(g)]++;
+      const int d = din[static_cast<std::size_t>(g)];
+      lay.local_to_global[static_cast<std::size_t>(i)] = g;
+      lay.owned_din[static_cast<std::size_t>(i)] =
+          d == 0 ? SetLayout::kDinCap : d;
+      owner_local[static_cast<std::size_t>(g)] = i;
+    }
+
+    // Import layers: exec 1..depth then nonexec 1..depth, each in global
+    // id order (one pass over the sorted imports buckets them in order);
+    // per-neighbour sublists keep that order.
+    std::sort(imports.begin(), imports.end());
+    std::vector<GIdxVec> exec_by_layer(static_cast<std::size_t>(depth));
+    std::vector<GIdxVec> nonexec_by_layer(static_cast<std::size_t>(depth));
+    for (gidx_t g : imports) {
+      const int code = cls[static_cast<std::size_t>(g)];
+      if (code > 0)
+        exec_by_layer[static_cast<std::size_t>(code - 1)].push_back(g);
+      else
+        nonexec_by_layer[static_cast<std::size_t>(-code - 1)].push_back(g);
+    }
+
+    auto add_to_list = [&](std::map<rank_t, std::vector<LIdxVec>>& imp,
+                           int k, gidx_t g, lidx_t li) {
+      auto& lists = imp[part.owner(s, g)];
+      if (lists.empty()) lists.resize(static_cast<std::size_t>(depth));
+      lists[static_cast<std::size_t>(k - 1)].push_back(li);
+    };
+
+    lay.exec_end.assign(static_cast<std::size_t>(depth) + 1,
+                        lay.num_owned);
+    for (int k = 1; k <= depth; ++k) {
+      for (gidx_t g : exec_by_layer[static_cast<std::size_t>(k - 1)]) {
+        add_to_list(nl.imp_exec, k, g,
+                    static_cast<lidx_t>(lay.local_to_global.size()));
+        lay.local_to_global.push_back(g);
+      }
+      lay.exec_end[static_cast<std::size_t>(k)] =
+          static_cast<lidx_t>(lay.local_to_global.size());
+    }
+
+    // Promoted elements re-enter the nonexec lists at their original
+    // read layer as aliases: same local slot (in the exec segment, found
+    // by bisecting its gid-sorted exec layer), but delivered by any
+    // exchange of that depth.
+    auto& aliases = ws->aliases[static_cast<std::size_t>(s)];
+    std::sort(aliases.begin(), aliases.end());
+    auto alias = aliases.begin();
+
+    lay.nonexec_end.assign(static_cast<std::size_t>(depth) + 1,
+                           lay.exec_end[static_cast<std::size_t>(depth)]);
+    for (int k = 1; k <= depth; ++k) {
+      for (gidx_t g : nonexec_by_layer[static_cast<std::size_t>(k - 1)]) {
+        add_to_list(nl.imp_nonexec, k, g,
+                    static_cast<lidx_t>(lay.local_to_global.size()));
+        lay.local_to_global.push_back(g);
+      }
+      for (; alias != aliases.end() && alias->first == k; ++alias) {
+        const gidx_t g = alias->second;
+        const auto [b, e] =
+            lay.exec_layer(cls[static_cast<std::size_t>(g)]);
+        const auto l2g = lay.local_to_global.begin();
+        const auto it = std::lower_bound(l2g + b, l2g + e, g);
+        OP2CA_ASSERT(it != l2g + e && *it == g,
+                     "promoted element missing from exec imports");
+        add_to_list(nl.imp_nonexec, k, g, static_cast<lidx_t>(it - l2g));
+      }
+      lay.nonexec_end[static_cast<std::size_t>(k)] =
+          static_cast<lidx_t>(lay.local_to_global.size());
+    }
+
+    lay.total = static_cast<lidx_t>(lay.local_to_global.size());
+
+    for (const auto* imp : {&nl.imp_exec, &nl.imp_nonexec}) {
+      for (const auto& entry : *imp) {
+        OP2CA_ASSERT(entry.first != r, "import from self");
+        rp->neighbors.insert(entry.first);
       }
     }
   }
-
-  int level = 1;
-  while (!frontier.empty()) {
-    std::vector<std::pair<mesh::set_id, gidx_t>> next;
-    for (const auto& [s, g] : frontier) {
-      for_each_neighbor(s, g, [&](mesh::set_id ns, gidx_t ng) {
-        if (part.owner(ns, ng) != r) return;
-        auto& dn = din[static_cast<std::size_t>(ns)];
-        if (dn.find(ng) == dn.end()) {
-          dn.emplace(ng, level + 1);
-          next.emplace_back(ns, ng);
-        }
-      });
-    }
-    frontier = std::move(next);
-    ++level;
-    if (level >= SetLayout::kDinCap) break;
-  }
-  return din;
 }
 
 }  // namespace
@@ -242,9 +389,11 @@ HaloPlan build_halo_plan(const mesh::MeshDef& mesh,
               .push_back(g);
   }
 
-  ctx.owned_local_idx.assign(static_cast<std::size_t>(nsets), LIdxVec());
+  /// owned_local_idx[set][gid] = local index on the owning rank (filled
+  /// as each rank's layout is finalized; used for export registration).
+  std::vector<LIdxVec> owned_local_idx(static_cast<std::size_t>(nsets));
   for (mesh::set_id s = 0; s < nsets; ++s)
-    ctx.owned_local_idx[static_cast<std::size_t>(s)].assign(
+    owned_local_idx[static_cast<std::size_t>(s)].assign(
         static_cast<std::size_t>(mesh.set(s).size), kInvalidLocal);
 
   HaloPlan plan;
@@ -253,135 +402,22 @@ HaloPlan build_halo_plan(const mesh::MeshDef& mesh,
   plan.has_local_maps = options.build_local_maps;
   plan.ranks.resize(static_cast<std::size_t>(part.nranks));
 
-  // Pass 1: per-rank classification, layouts and import lists.
-  for (rank_t r = 0; r < part.nranks; ++r) {
+  // Pass 1: per-rank classification, layouts and import lists, rank-
+  // parallel. Each worker's workspace is allocated here, on the calling
+  // thread, so it does not stay behind in a per-thread malloc arena.
+  const int workers = detail::rank_workers(part.nranks);
+  std::vector<Workspace> workspaces;
+  workspaces.reserve(static_cast<std::size_t>(workers));
+  for (int w = 0; w < workers; ++w) workspaces.emplace_back(mesh);
+  detail::for_each_rank(part.nranks, workers, [&](int w, rank_t r) {
+    Workspace& ws = workspaces[static_cast<std::size_t>(w)];
     RankPlan& rp = plan.ranks[static_cast<std::size_t>(r)];
-    rp.sets.resize(static_cast<std::size_t>(nsets));
-    rp.lists.resize(static_cast<std::size_t>(nsets));
-
-    std::vector<Promotion> promotions;
-    std::vector<ClsMap> cls = classify_rank(ctx, r, depth, &promotions);
-    std::vector<std::unordered_map<gidx_t, int>> din_all =
-        compute_din_all(ctx, r);
-
-    for (mesh::set_id s = 0; s < nsets; ++s) {
-      SetLayout& lay = rp.sets[static_cast<std::size_t>(s)];
-      NeighborLists& nl = rp.lists[static_cast<std::size_t>(s)];
-
-      // Owned ordering: din descending, global id ascending.
-      const std::unordered_map<gidx_t, int>& din =
-          din_all[static_cast<std::size_t>(s)];
-      const auto& mine = ctx.owned[static_cast<std::size_t>(r)]
-                                  [static_cast<std::size_t>(s)];
-      std::vector<std::pair<int, gidx_t>> owned_sorted;
-      owned_sorted.reserve(mine.size());
-      for (gidx_t g : mine) {
-        const auto it = din.find(g);
-        const int d = it == din.end() ? SetLayout::kDinCap : it->second;
-        owned_sorted.emplace_back(d, g);
-      }
-      std::sort(owned_sorted.begin(), owned_sorted.end(),
-                [](const auto& a, const auto& b) {
-                  if (a.first != b.first) return a.first > b.first;
-                  return a.second < b.second;
-                });
-
-      lay.num_owned = static_cast<lidx_t>(owned_sorted.size());
-      lay.local_to_global.reserve(owned_sorted.size());
-      lay.owned_din.reserve(owned_sorted.size());
-      for (const auto& [d, g] : owned_sorted) {
-        ctx.owned_local_idx[static_cast<std::size_t>(s)]
-                           [static_cast<std::size_t>(g)] =
-            static_cast<lidx_t>(lay.local_to_global.size());
-        lay.local_to_global.push_back(g);
-        lay.owned_din.push_back(d);
-      }
-
-      // Import layers: exec 1..depth then nonexec 1..depth, each sorted
-      // by global id; per-neighbour sublists keep that order.
-      std::vector<GIdxVec> exec_by_layer(static_cast<std::size_t>(depth));
-      std::vector<GIdxVec> nonexec_by_layer(static_cast<std::size_t>(depth));
-      for (const auto& [g, code] : cls[static_cast<std::size_t>(s)]) {
-        if (code > 0)
-          exec_by_layer[static_cast<std::size_t>(code - 1)].push_back(g);
-        else if (code < 0)
-          nonexec_by_layer[static_cast<std::size_t>(-code - 1)].push_back(g);
-      }
-
-      // Local index of each imported element, needed to resolve the
-      // promotion aliases below.
-      std::unordered_map<gidx_t, lidx_t> import_g2l;
-
-      lay.exec_end.assign(static_cast<std::size_t>(depth) + 1,
-                          lay.num_owned);
-      for (int k = 1; k <= depth; ++k) {
-        auto& layer = exec_by_layer[static_cast<std::size_t>(k - 1)];
-        std::sort(layer.begin(), layer.end());
-        for (gidx_t g : layer) {
-          const rank_t owner = part.owner(s, g);
-          auto& lists = nl.imp_exec[owner];
-          if (lists.empty())
-            lists.resize(static_cast<std::size_t>(depth));
-          const auto li = static_cast<lidx_t>(lay.local_to_global.size());
-          lists[static_cast<std::size_t>(k - 1)].push_back(li);
-          import_g2l.emplace(g, li);
-          lay.local_to_global.push_back(g);
-        }
-        lay.exec_end[static_cast<std::size_t>(k)] =
-            static_cast<lidx_t>(lay.local_to_global.size());
-      }
-
-      // Promoted elements re-enter the nonexec lists at their original
-      // read layer as aliases: same local slot (in the exec segment),
-      // but delivered by any exchange of that depth.
-      std::vector<GIdxVec> alias_by_layer(static_cast<std::size_t>(depth));
-      for (const Promotion& p : promotions)
-        if (p.set == s)
-          alias_by_layer[static_cast<std::size_t>(p.read_layer - 1)]
-              .push_back(p.gid);
-
-      lay.nonexec_end.assign(static_cast<std::size_t>(depth) + 1,
-                             lay.exec_end[static_cast<std::size_t>(depth)]);
-      for (int k = 1; k <= depth; ++k) {
-        auto& layer = nonexec_by_layer[static_cast<std::size_t>(k - 1)];
-        auto& aliases = alias_by_layer[static_cast<std::size_t>(k - 1)];
-        std::sort(layer.begin(), layer.end());
-        std::sort(aliases.begin(), aliases.end());
-        auto add_to_list = [&](gidx_t g, lidx_t li) {
-          const rank_t owner = part.owner(s, g);
-          auto& lists = nl.imp_nonexec[owner];
-          if (lists.empty())
-            lists.resize(static_cast<std::size_t>(depth));
-          lists[static_cast<std::size_t>(k - 1)].push_back(li);
-        };
-        for (gidx_t g : layer) {
-          const auto li = static_cast<lidx_t>(lay.local_to_global.size());
-          add_to_list(g, li);
-          lay.local_to_global.push_back(g);
-        }
-        for (gidx_t g : aliases) {
-          const auto it = import_g2l.find(g);
-          OP2CA_ASSERT(it != import_g2l.end(),
-                       "promoted element missing from exec imports");
-          add_to_list(g, it->second);
-        }
-        lay.nonexec_end[static_cast<std::size_t>(k)] =
-            static_cast<lidx_t>(lay.local_to_global.size());
-      }
-
-      lay.total = static_cast<lidx_t>(lay.local_to_global.size());
-
-      for (const auto& [q, lists] : nl.imp_exec) {
-        OP2CA_ASSERT(q != r, "import from self");
-        rp.neighbors.insert(q);
-        (void)lists;
-      }
-      for (const auto& [q, lists] : nl.imp_nonexec) {
-        rp.neighbors.insert(q);
-        (void)lists;
-      }
-    }
-  }
+    classify_rank(ctx, r, depth, &ws);
+    compute_din_all(ctx, &ws);
+    layout_rank(ctx, r, depth, &ws, &owned_local_idx, &rp);
+    ws.reset(rp);
+  });
+  workspaces.clear();
 
   // Pass 2: export registration. Rank q's import list from owner r maps
   // one-to-one (same order) onto r's export list toward q.
@@ -405,8 +441,8 @@ HaloPlan build_halo_plan(const mesh::MeshDef& mesh,
               const gidx_t g =
                   qlay.local_to_global[static_cast<std::size_t>(li)];
               const lidx_t owner_local =
-                  ctx.owned_local_idx[static_cast<std::size_t>(s)]
-                                     [static_cast<std::size_t>(g)];
+                  owned_local_idx[static_cast<std::size_t>(s)]
+                                 [static_cast<std::size_t>(g)];
               OP2CA_ASSERT(owner_local != kInvalidLocal,
                            "imported element has no owner-local index");
               exp[static_cast<std::size_t>(k)].push_back(owner_local);

@@ -1,8 +1,8 @@
 #include "op2ca/halo/renumber.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
+#include "op2ca/halo/rank_workers.hpp"
 #include "op2ca/util/error.hpp"
 
 namespace op2ca::halo {
@@ -10,46 +10,56 @@ namespace op2ca::halo {
 void build_local_maps(const mesh::MeshDef& mesh, HaloPlan* plan) {
   OP2CA_REQUIRE(plan != nullptr, "build_local_maps: null plan");
   const int nsets = mesh.num_sets();
+  const int nranks = static_cast<int>(plan->ranks.size());
+  const int workers = detail::rank_workers(nranks);
 
-  for (auto& rp : plan->ranks) {
-    // Global -> local lookup per set for this rank only.
-    std::vector<std::unordered_map<gidx_t, lidx_t>> g2l(
-        static_cast<std::size_t>(nsets));
+  // Dense global -> local lookup per set, one per worker, allocated on the
+  // calling thread and reset after each rank.
+  std::vector<std::vector<LIdxVec>> g2l(
+      static_cast<std::size_t>(workers),
+      std::vector<LIdxVec>(static_cast<std::size_t>(nsets)));
+  for (auto& lookup : g2l)
+    for (mesh::set_id s = 0; s < nsets; ++s)
+      lookup[static_cast<std::size_t>(s)].assign(
+          static_cast<std::size_t>(mesh.set(s).size), kInvalidLocal);
+
+  detail::for_each_rank(nranks, workers, [&](int w, rank_t r) {
+    RankPlan& rp = plan->ranks[static_cast<std::size_t>(r)];
+    std::vector<LIdxVec>& lookup = g2l[static_cast<std::size_t>(w)];
     for (mesh::set_id s = 0; s < nsets; ++s) {
       const SetLayout& lay = rp.sets[static_cast<std::size_t>(s)];
-      auto& lookup = g2l[static_cast<std::size_t>(s)];
-      lookup.reserve(lay.local_to_global.size());
       for (lidx_t i = 0; i < lay.total; ++i)
-        lookup.emplace(lay.local_to_global[static_cast<std::size_t>(i)], i);
+        lookup[static_cast<std::size_t>(s)][static_cast<std::size_t>(
+            lay.local_to_global[static_cast<std::size_t>(i)])] = i;
     }
 
     rp.maps.assign(static_cast<std::size_t>(mesh.num_maps()), LocalMap{});
     for (mesh::map_id m = 0; m < mesh.num_maps(); ++m) {
       const mesh::MapDef& mp = mesh.map(m);
       const SetLayout& from_lay = rp.sets[static_cast<std::size_t>(mp.from)];
-      const auto& to_lookup = g2l[static_cast<std::size_t>(mp.to)];
+      const LIdxVec& to_lookup = lookup[static_cast<std::size_t>(mp.to)];
 
       LocalMap& lm = rp.maps[static_cast<std::size_t>(m)];
       lm.arity = mp.arity;
-      lm.targets.assign(
-          static_cast<std::size_t>(from_lay.total) *
-              static_cast<std::size_t>(mp.arity),
-          kInvalidLocal);
+      lm.targets.resize(static_cast<std::size_t>(from_lay.total) *
+                        static_cast<std::size_t>(mp.arity));
       for (lidx_t f = 0; f < from_lay.total; ++f) {
         const gidx_t gf =
             from_lay.local_to_global[static_cast<std::size_t>(f)];
-        for (int k = 0; k < mp.arity; ++k) {
-          const gidx_t gt =
-              mp.targets[static_cast<std::size_t>(gf * mp.arity + k)];
-          const auto it = to_lookup.find(gt);
-          if (it != to_lookup.end())
-            lm.targets[static_cast<std::size_t>(f) *
-                           static_cast<std::size_t>(mp.arity) +
-                       static_cast<std::size_t>(k)] = it->second;
-        }
+        for (int k = 0; k < mp.arity; ++k)
+          lm.targets[static_cast<std::size_t>(f) *
+                         static_cast<std::size_t>(mp.arity) +
+                     static_cast<std::size_t>(k)] =
+              to_lookup[static_cast<std::size_t>(
+                  mp.targets[static_cast<std::size_t>(gf * mp.arity + k)])];
       }
     }
-  }
+
+    for (mesh::set_id s = 0; s < nsets; ++s)
+      for (gidx_t g : rp.sets[static_cast<std::size_t>(s)].local_to_global)
+        lookup[static_cast<std::size_t>(s)][static_cast<std::size_t>(g)] =
+            kInvalidLocal;
+  });
   plan->has_local_maps = true;
 }
 

@@ -3,8 +3,11 @@
 // grouped message packing.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
 #include <map>
 #include <set>
+#include <sstream>
 
 #include "op2ca/halo/grouped.hpp"
 #include "op2ca/halo/halo_plan.hpp"
@@ -78,8 +81,9 @@ TEST(HaloPlan, LayoutInvariants) {
         const lidx_t c = lay.core_count(shrink);
         for (lidx_t i = 0; i < c; ++i)
           EXPECT_GT(lay.owned_din[static_cast<size_t>(i)], shrink);
-        if (c < lay.num_owned)
+        if (c < lay.num_owned) {
           EXPECT_LE(lay.owned_din[static_cast<size_t>(c)], shrink);
+        }
       }
     }
   }
@@ -319,6 +323,119 @@ TEST(HaloPlan, PromotedElementsStayInLevelOneSyncLists) {
       }
     }
   }
+}
+
+// FNV-1a over every field of a plan: layouts, the four neighbour-list
+// maps, the local maps and the neighbour set. Sizes are hashed ahead of
+// contents so that moving an element between adjacent lists changes the
+// hash.
+class PlanHasher {
+ public:
+  void bytes(const void* p, std::size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < n; ++i) {
+      h_ ^= b[i];
+      h_ *= 1099511628211ULL;
+    }
+  }
+  void i64(std::int64_t v) { bytes(&v, sizeof v); }
+  template <typename T>
+  void vec(const std::vector<T>& v) {
+    i64(static_cast<std::int64_t>(v.size()));
+    if (!v.empty()) bytes(v.data(), v.size() * sizeof(T));
+  }
+  void lists(const std::map<rank_t, std::vector<LIdxVec>>& m) {
+    i64(static_cast<std::int64_t>(m.size()));
+    for (const auto& [q, layers] : m) {
+      i64(q);
+      i64(static_cast<std::int64_t>(layers.size()));
+      for (const LIdxVec& l : layers) vec(l);
+    }
+  }
+  void plan(const HaloPlan& p) {
+    i64(p.nranks);
+    i64(p.depth);
+    i64(p.has_local_maps ? 1 : 0);
+    for (const RankPlan& rp : p.ranks) {
+      i64(static_cast<std::int64_t>(rp.sets.size()));
+      for (const SetLayout& lay : rp.sets) {
+        i64(lay.num_owned);
+        vec(lay.exec_end);
+        vec(lay.nonexec_end);
+        i64(lay.total);
+        vec(lay.local_to_global);
+        vec(lay.owned_din);
+      }
+      for (const NeighborLists& nl : rp.lists) {
+        lists(nl.exp_exec);
+        lists(nl.exp_nonexec);
+        lists(nl.imp_exec);
+        lists(nl.imp_nonexec);
+      }
+      i64(static_cast<std::int64_t>(rp.maps.size()));
+      for (const LocalMap& lm : rp.maps) {
+        i64(lm.arity);
+        vec(lm.targets);
+      }
+      i64(static_cast<std::int64_t>(rp.neighbors.size()));
+      for (rank_t q : rp.neighbors) i64(q);
+    }
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 14695981039346656037ULL;
+};
+
+TEST(HaloPlan, MatchesPinnedPlanHashes) {
+  // Pinned from the hash-map builder that preceded the dense, rank-parallel
+  // one, computed on a checkout of that commit: the dense build must
+  // reproduce its plans bit for bit. nranks = 16 exceeds the worker count
+  // of small hosts, so workers reuse their workspace across ranks. Order:
+  // mesh {quad2d, annulus, multigrid} x nranks {1, 3, 4, 16} x depth
+  // {1, 2, 3}. The k-way partitioner is integer-only, so the pinned
+  // partitions do not depend on floating-point contraction (RIB's
+  // projections may, under -march=native).
+  static constexpr std::uint64_t kPinned[] = {
+      0x52034e69d6a672f5ULL, 0x5ba90ee6a55879caULL, 0x72c7950a76d55a43ULL,
+      0xf4d3b6e590867c11ULL, 0xbad2c063ef1d54ddULL, 0xfff0955e919e55b3ULL,
+      0x7c34003877b1a60bULL, 0x3b87339512f1765ULL, 0xb90227778b8955ffULL,
+      0xe78e3061e2f48a6dULL, 0x9c6dfd41a7770d11ULL, 0xdeb89d81fc1de9f9ULL,
+      0x578d222f351e5d08ULL, 0xa6ea2a669211c3e3ULL, 0x3303447a151776e6ULL,
+      0x2a56ba9f9fd404eaULL, 0x47ae95c445b79f74ULL, 0xea7ad51879a34083ULL,
+      0xba3edee5c3728d66ULL, 0xe4c1ddcc3965258ULL, 0x61a2ef6ecfb3a809ULL,
+      0x2eb1f7f4de76cfc3ULL, 0x717f172c385ed37dULL, 0x6ab06ac03fdb2695ULL,
+      0x29a7ba86554c1939ULL, 0x6af77a733e7117d6ULL, 0x3c0799aafcbec833ULL,
+      0xb94c08c1910e03b2ULL, 0xc6128a88b58c116cULL, 0x3d1938a0af9a3bf9ULL,
+      0x4c61f11a3362d65bULL, 0x839dc1282fa35a43ULL, 0x91bbf42ae97ba4a6ULL,
+      0x1a88992d4343cb3dULL, 0xe30b9d80269f7711ULL, 0x744aaa695e356ad5ULL,
+  };
+  const mesh::Quad2D q = mesh::make_quad2d(12, 10);
+  const mesh::Annulus an = mesh::make_annulus(4, 6, 10);
+  const mesh::MultigridHex mg = mesh::make_multigrid_hex(8, 8, 8, 3);
+  const std::pair<const mesh::MeshDef*, mesh::set_id> inputs[] = {
+      {&q.mesh, q.nodes}, {&an.mesh, an.nodes}, {&mg.mesh, mg.levels[0].nodes}};
+
+  std::vector<std::uint64_t> got;
+  for (const auto& [m, seed] : inputs) {
+    for (int nranks : {1, 3, 4, 16}) {
+      const partition::Partition part = partition::partition_mesh(
+          *m, nranks, partition::Kind::KWay, seed);
+      for (int depth : {1, 2, 3}) {
+        HaloPlanOptions opts;
+        opts.depth = depth;
+        PlanHasher h;
+        h.plan(build_halo_plan(*m, part, opts));
+        got.push_back(h.value());
+      }
+    }
+  }
+  std::ostringstream table;
+  for (std::uint64_t v : got) table << "      0x" << std::hex << v << "ULL,\n";
+  ASSERT_EQ(got.size(), std::size(kPinned)) << table.str();
+  for (std::size_t i = 0; i < got.size(); ++i)
+    EXPECT_EQ(got[i], kPinned[i]) << "case " << i << "; actual table:\n"
+                                  << table.str();
 }
 
 TEST(Grouped, UnpackRejectsWrongSize) {
