@@ -7,7 +7,8 @@
 // allocate-and-copy style, writing BENCH_hotpath.json. Further custom
 // sections write BENCH_locality.json, BENCH_simd.json,
 // BENCH_transport.json, BENCH_gpu.json (device pipeline A/Bs) and
-// BENCH_tiling.json (temporal chain tiling A/B).
+// BENCH_tiling.json (temporal chain tiling A/B). Each section's wall
+// time goes to stderr and into BENCH_hotpath.json "section_wall_s".
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -19,6 +20,7 @@
 #include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "op2ca/apps/hydra/hydra_kernels.hpp"
 #include "op2ca/apps/mgcfd/mgcfd_kernels.hpp"
@@ -161,10 +163,37 @@ struct DispatchResult {
   double speedup() const { return per_element_ns / batched_ns; }
 };
 
+/// Times `kernel` over elements [0, n) with arguments typed A...: per
+/// element (seed-style: one type-erased call per element, args resolved
+/// from the vector inside every call) and batched (one type-erased call
+/// per region, resolution hoisted).
+template <typename... A, typename K>
+DispatchResult time_dispatch(
+    const K& kernel, const std::vector<core::detail::ResolvedArg>& rargs,
+    lidx_t n) {
+  namespace cd = core::detail;
+  std::function<void(lidx_t)> element = [kernel, rargs](lidx_t i) {
+    [&]<std::size_t... I>(std::index_sequence<I...>) {
+      kernel(cd::arg_ref<A, false>(rargs[I], i, "bench")...);
+    }(std::index_sequence_for<A...>{});
+  };
+  std::function<void(lidx_t, lidx_t)> region =
+      [kernel, rargs](lidx_t begin, lidx_t end) {
+        cd::invoke_kernel_range<A...>(kernel, rargs, begin, end, false,
+                                      "bench");
+      };
+
+  DispatchResult r;
+  r.per_element_ns = 1e9 / n * time_per_call([&] {
+                       for (lidx_t i = 0; i < n; ++i) element(i);
+                     });
+  r.batched_ns = 1e9 / n * time_per_call([&] { region(0, n); });
+  return r;
+}
+
 /// Direct loop: two dim-2 direct args, the cheapest realistic kernel, so
 /// the measurement isolates dispatch overhead.
 DispatchResult bench_direct_dispatch() {
-  namespace cd = core::detail;
   constexpr lidx_t kN = 1 << 17;
   std::vector<double> a(static_cast<std::size_t>(kN) * 2, 1.0);
   std::vector<double> b(static_cast<std::size_t>(kN) * 2, 2.0);
@@ -174,37 +203,19 @@ DispatchResult bench_direct_dispatch() {
   };
   const mesh::DatLayout aos2 =
       mesh::DatLayout::make(mesh::LayoutKind::AoS, 2, kN);
-  std::vector<cd::ResolvedArg> rargs(2);
+  std::vector<core::detail::ResolvedArg> rargs(2);
   rargs[0].base = a.data();
   rargs[0].bind_layout(aos2);
   rargs[1].base = b.data();
   rargs[1].bind_layout(aos2);
-
-  // Seed-style: one type-erased call per element, args resolved from the
-  // vector inside every call.
-  std::function<void(lidx_t)> element = [kernel, rargs](lidx_t i) {
-    kernel(cd::resolve_arg(rargs[0], i, false),
-           cd::resolve_arg(rargs[1], i, false));
-  };
-  // Batched: one type-erased call per region; resolution hoisted.
-  std::function<void(lidx_t, lidx_t)> region =
-      [kernel, rargs](lidx_t begin, lidx_t end) {
-        cd::invoke_kernel_range(kernel, rargs, begin, end, false, "bench",
-                                std::make_index_sequence<2>{});
-      };
-
-  DispatchResult r;
-  r.per_element_ns = 1e9 / kN * time_per_call([&] {
-                       for (lidx_t i = 0; i < kN; ++i) element(i);
-                     });
-  r.batched_ns = 1e9 / kN * time_per_call([&] { region(0, kN); });
-  return r;
+  using D = core::DirectArg;
+  return time_dispatch<D, D>(kernel, rargs, kN);
 }
 
 /// Indirect loop: the synthetic update pattern (two INC + two READ args
-/// through an arity-2 map).
-DispatchResult bench_indirect_dispatch() {
-  namespace cd = core::detail;
+/// through an arity-2 map). With `gbl_inc`, the kernel also sums its
+/// first pressure component into a global (a fifth, GblArg INC argument).
+DispatchResult bench_indirect_dispatch(bool gbl_inc) {
   constexpr lidx_t kEdges = 1 << 17;
   constexpr lidx_t kNodes = 1 << 16;
   Rng rng(3);
@@ -213,11 +224,17 @@ DispatchResult bench_indirect_dispatch() {
   std::vector<lidx_t> map(static_cast<std::size_t>(kEdges) * 2);
   for (auto& t : map)
     t = static_cast<lidx_t>(rng.next_int(0, kNodes - 1));
+  double sum = 0;
 
   const auto kernel = apps::mgcfd::kernels::synth_update;
+  const auto kernel_gbl = [kernel](auto&& r1, auto&& r2, auto&& p1,
+                                   auto&& p2, auto&& g) {
+    kernel(r1, r2, p1, p2);
+    g[0] += p1[0];
+  };
   const mesh::DatLayout aos2 =
       mesh::DatLayout::make(mesh::LayoutKind::AoS, 2, kNodes);
-  std::vector<cd::ResolvedArg> rargs(4);
+  std::vector<core::detail::ResolvedArg> rargs(5);
   for (int j = 0; j < 4; ++j) {
     rargs[static_cast<std::size_t>(j)].base =
         j < 2 ? res.data() : pres.data();
@@ -226,24 +243,14 @@ DispatchResult bench_indirect_dispatch() {
     rargs[static_cast<std::size_t>(j)].idx = j % 2;
     rargs[static_cast<std::size_t>(j)].bind_layout(aos2);
   }
+  rargs[4].base = &sum;
 
-  std::function<void(lidx_t)> element = [kernel, rargs](lidx_t i) {
-    kernel(cd::resolve_arg(rargs[0], i, false),
-           cd::resolve_arg(rargs[1], i, false),
-           cd::resolve_arg(rargs[2], i, false),
-           cd::resolve_arg(rargs[3], i, false));
-  };
-  std::function<void(lidx_t, lidx_t)> region =
-      [kernel, rargs](lidx_t begin, lidx_t end) {
-        cd::invoke_kernel_range(kernel, rargs, begin, end, false, "bench",
-                                std::make_index_sequence<4>{});
-      };
-
-  DispatchResult r;
-  r.per_element_ns = 1e9 / kEdges * time_per_call([&] {
-                       for (lidx_t i = 0; i < kEdges; ++i) element(i);
-                     });
-  r.batched_ns = 1e9 / kEdges * time_per_call([&] { region(0, kEdges); });
+  using In = core::IndirectArg;
+  using G = core::GblArg;
+  const DispatchResult r =
+      gbl_inc ? time_dispatch<In, In, In, In, G>(kernel_gbl, rargs, kEdges)
+              : time_dispatch<In, In, In, In>(kernel, rargs, kEdges);
+  benchmark::DoNotOptimize(sum);
   return r;
 }
 
@@ -839,11 +846,28 @@ TaskgraphResult bench_taskgraph_sweep() {
   return r;
 }
 
-void write_hotpath_json(const char* path) {
-  const DispatchResult direct = bench_direct_dispatch();
-  const DispatchResult indirect = bench_indirect_dispatch();
-  const GroupedResult grouped = bench_grouped_pack();
-  const TaskgraphResult tg = bench_taskgraph_sweep();
+struct HotpathResult {
+  DispatchResult direct, indirect, indirect_gbl;
+  GroupedResult grouped;
+  TaskgraphResult tg;
+};
+
+HotpathResult bench_hotpath() {
+  return {bench_direct_dispatch(), bench_indirect_dispatch(false),
+          bench_indirect_dispatch(true), bench_grouped_pack(),
+          bench_taskgraph_sweep()};
+}
+
+/// Wall seconds of each A/B section of this harness, in run order.
+using SectionTimes = std::vector<std::pair<std::string, double>>;
+
+void write_hotpath_json(const char* path, const HotpathResult& h,
+                        const SectionTimes& section_wall_s) {
+  const DispatchResult& direct = h.direct;
+  const DispatchResult& indirect = h.indirect;
+  const DispatchResult& indirect_gbl = h.indirect_gbl;
+  const GroupedResult& grouped = h.grouped;
+  const TaskgraphResult& tg = h.tg;
 
   std::ofstream os(path);
   os.precision(5);
@@ -854,7 +878,11 @@ void write_hotpath_json(const char* path) {
      << ", \"speedup\": " << direct.speedup() << "},\n"
      << "    \"indirect\": {\"per_element_ns\": " << indirect.per_element_ns
      << ", \"batched_ns\": " << indirect.batched_ns
-     << ", \"speedup\": " << indirect.speedup() << "}\n"
+     << ", \"speedup\": " << indirect.speedup() << "},\n"
+     << "    \"indirect_gbl_inc\": {\"per_element_ns\": "
+     << indirect_gbl.per_element_ns
+     << ", \"batched_ns\": " << indirect_gbl.batched_ns
+     << ", \"speedup\": " << indirect_gbl.speedup() << "}\n"
      << "  },\n"
      << "  \"grouped\": {\n"
      << "    \"pack_send\": {\"seed_style_gbps\": "
@@ -883,12 +911,19 @@ void write_hotpath_json(const char* path) {
   }
   os << "],\n"
      << "    \"best_speedup\": " << tg.best_speedup << "\n"
-     << "  }\n"
+     << "  },\n"
+     << "  \"section_wall_s\": {";
+  for (std::size_t i = 0; i < section_wall_s.size(); ++i)
+    os << (i == 0 ? "" : ", ") << "\"" << section_wall_s[i].first
+       << "\": " << section_wall_s[i].second;
+  os << "}\n"
      << "}\n";
   std::printf(
       "hotpath: direct dispatch %.2fx, indirect dispatch %.2fx, "
-      "pack+send %.2fx, unpack %.2fx -> %s\n",
-      direct.speedup(), indirect.speedup(), grouped.pack_send_speedup(),
+      "indirect + gbl INC dispatch %.2fx, pack+send %.2fx, unpack %.2fx "
+      "-> %s\n",
+      direct.speedup(), indirect.speedup(), indirect_gbl.speedup(),
+      grouped.pack_send_speedup(),
       grouped.plan_unpack_gbps / grouped.ref_unpack_gbps, path);
   for (const TaskgraphWidthResult& w : tg.widths)
     std::printf(
@@ -1467,11 +1502,24 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  write_hotpath_json("BENCH_hotpath.json");
-  write_locality_json("BENCH_locality.json");
-  write_simd_json("BENCH_simd.json");
-  write_transport_json("BENCH_transport.json");
-  write_gpu_json("BENCH_gpu.json");
-  write_tiling_json("BENCH_tiling.json");
+  // Each A/B section is wall-timed; BENCH_hotpath.json is written last
+  // so it can carry every section's time.
+  SectionTimes section_wall_s;
+  const auto timed = [&section_wall_s](const char* section,
+                                       const std::function<void()>& fn) {
+    WallTimer t;
+    fn();
+    section_wall_s.emplace_back(section, t.elapsed());
+    std::fprintf(stderr, "section %s: %.1f s wall\n", section,
+                 section_wall_s.back().second);
+  };
+  HotpathResult hot;
+  timed("hotpath", [&hot] { hot = bench_hotpath(); });
+  timed("locality", [] { write_locality_json("BENCH_locality.json"); });
+  timed("layout", [] { write_simd_json("BENCH_simd.json"); });
+  timed("transport", [] { write_transport_json("BENCH_transport.json"); });
+  timed("device", [] { write_gpu_json("BENCH_gpu.json"); });
+  timed("tiling", [] { write_tiling_json("BENCH_tiling.json"); });
+  write_hotpath_json("BENCH_hotpath.json", hot, section_wall_s);
   return 0;
 }

@@ -17,18 +17,19 @@ const char* access_name(Access a) {
   return "?";
 }
 
-Arg arg_dat(Dat d, Access mode) {
-  Arg a;
+DirectArg arg_dat(Dat d, Access mode) {
+  DirectArg a;
   a.kind = Arg::Kind::DatDirect;
   a.dat = d.id;
   a.mode = mode;
   return a;
 }
 
-Arg arg_dat(Dat d, int idx, Map m, Access mode, bool self_combine) {
+IndirectArg arg_dat(Dat d, int idx, Map m, Access mode,
+                    bool self_combine) {
   OP2CA_REQUIRE(!self_combine || mode == Access::RW,
                 "self_combine only applies to RW access");
-  Arg a;
+  IndirectArg a;
   a.kind = Arg::Kind::DatIndirect;
   a.dat = d.id;
   a.map_idx = idx;
@@ -38,11 +39,11 @@ Arg arg_dat(Dat d, int idx, Map m, Access mode, bool self_combine) {
   return a;
 }
 
-Arg arg_gbl(double* value, int dim, Access mode) {
+GblArg arg_gbl(double* value, int dim, Access mode) {
   OP2CA_REQUIRE(mode == Access::READ || mode == Access::INC,
                 "arg_gbl supports READ and INC only");
   OP2CA_REQUIRE(value != nullptr && dim > 0, "arg_gbl needs a buffer");
-  Arg a;
+  GblArg a;
   a.kind = Arg::Kind::Gbl;
   a.mode = mode;
   a.gbl = value;
@@ -231,8 +232,6 @@ detail::LoopRecord Runtime::make_record(const std::string& name, Set s,
     switch (a.kind) {
       case Arg::Kind::Gbl: {
         ra.base = a.gbl;
-        ra.dim = a.gbl_dim;
-        ra.is_gbl = true;
         as.dat = -1;
         as.mode = a.mode;
         as.indirect = false;
@@ -286,18 +285,6 @@ detail::LoopRecord Runtime::make_record(const std::string& name, Set s,
     rec.spec.args.push_back(as);
   }
   return rec;
-}
-
-const std::vector<detail::ResolvedArg>& Runtime::record_args(
-    const detail::LoopRecord& rec) const {
-  return rec.rargs;
-}
-
-void Runtime::set_bodies(
-    detail::LoopRecord& rec, std::function<void(lidx_t, lidx_t)> range_body,
-    std::function<void(const lidx_t*, std::size_t)> list_body) {
-  rec.range_body = std::move(range_body);
-  rec.list_body = std::move(list_body);
 }
 
 }  // namespace op2ca::core

@@ -18,6 +18,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -47,7 +48,11 @@ struct Dat {
   mesh::dat_id id = -1;
 };
 
-/// A par_loop argument (OP2's op_arg_dat / op_arg_gbl).
+/// A par_loop argument (OP2's op_arg_dat / op_arg_gbl). The constructors
+/// below return one of three types derived from Arg, so par_loop knows
+/// each argument's kind at compile time and its batch loops resolve every
+/// argument without a per-element test (the kind is also kept in `kind`
+/// for the inspector and the executors).
 struct Arg {
   enum class Kind { DatDirect, DatIndirect, Gbl };
   Kind kind = Kind::DatDirect;
@@ -59,15 +64,19 @@ struct Arg {
   int gbl_dim = 0;
   bool self_combine = false;  ///< see ArgSpec::self_combine.
 };
+struct DirectArg : Arg {};
+struct IndirectArg : Arg {};
+struct GblArg : Arg {};
 
 /// Direct access: the dat element of the current iteration.
-Arg arg_dat(Dat d, Access mode);
+DirectArg arg_dat(Dat d, Access mode);
 /// Indirect access through map column `idx`. `self_combine` (RW only)
 /// declares that the kernel reads this dat solely at the element it
 /// writes — see ArgSpec::self_combine.
-Arg arg_dat(Dat d, int idx, Map m, Access mode, bool self_combine = false);
+IndirectArg arg_dat(Dat d, int idx, Map m, Access mode,
+                    bool self_combine = false);
 /// Global argument: READ passes a constant, INC sum-reduces across ranks.
-Arg arg_gbl(double* value, int dim, Access mode);
+GblArg arg_gbl(double* value, int dim, Access mode);
 
 /// Per-loop / per-chain measurements, merged across ranks by the World.
 /// Every field is an int64_t or a double with one kMetricFields entry.
@@ -241,16 +250,15 @@ struct ElemRef {
   operator double*() const { return p; }
 };
 
-/// Per-argument iteration-time resolution data. The layout fields mirror
+/// Per-argument iteration-time resolution data; which fields apply
+/// depends on the argument's type. The layout fields mirror
 /// mesh::DatLayout's stride pair; bind_layout keeps them coherent (the
-/// defaults describe an AoS dim-1 dat).
+/// defaults describe an AoS dim-1 dat, and a gbl buffer).
 struct ResolvedArg {
   double* base = nullptr;
-  const lidx_t* map_targets = nullptr;  ///< null for direct / gbl.
+  const lidx_t* map_targets = nullptr;  ///< IndirectArg only.
   int arity = 1;
   int idx = 0;
-  int dim = 1;
-  bool is_gbl = false;
   // Storage layout of the dat behind `base` (see mesh::DatLayout):
   // element i starts at i * estride, component c adds c * cstride (AoS:
   // estride = dim, cstride = 1 — the legacy i * dim + c).
@@ -258,7 +266,6 @@ struct ResolvedArg {
   lidx_t cstride = 1;
 
   void bind_layout(const mesh::DatLayout& lay) {
-    dim = lay.dim;
     estride = lay.estride;
     cstride = lay.cstride;
   }
@@ -281,48 +288,81 @@ struct LoopRecord {
 
 void raise_out_of_region(const char* loop_name);
 
-/// Resolves one argument at iteration `i`. Inline so the batch loops in
-/// invoke_kernel_range/_list keep it out of the per-element path. Both
-/// layouts address base + t * estride (+ c * cstride in ElemRef).
-inline ElemRef resolve_arg(const ResolvedArg& a, lidx_t i, bool validate,
-                           const char* loop_name = "") {
-  if (a.is_gbl) return {a.base, 1};
-  lidx_t t = i;
-  if (a.map_targets != nullptr) {
-    t = a.map_targets[static_cast<std::size_t>(i) *
-                          static_cast<std::size_t>(a.arity) +
-                      static_cast<std::size_t>(a.idx)];
-    if (validate && t == kInvalidLocal) raise_out_of_region(loop_name);
+template <typename A>
+inline constexpr bool is_typed_arg_v =
+    std::is_same_v<A, DirectArg> || std::is_same_v<A, IndirectArg> ||
+    std::is_same_v<A, GblArg>;
+
+/// The element argument `a` of type A stands for at iteration `i`: a gbl
+/// buffer as is, a direct dat at row i, an indirect dat at row
+/// map[i * arity + idx]. The kind is a template parameter, so the batch
+/// loops below carry no per-argument test and every stride is fixed for
+/// the loop. `Validate` adds the kInvalidLocal check on indirect targets.
+template <typename A, bool Validate>
+inline ElemRef arg_ref(const ResolvedArg& a, lidx_t i, const char* loop_name) {
+  static_assert(is_typed_arg_v<A>, "arg_ref needs a typed argument");
+  if constexpr (std::is_same_v<A, GblArg>) {
+    return {a.base, 1};
+  } else {
+    lidx_t t = i;
+    if constexpr (std::is_same_v<A, IndirectArg>) {
+      t = a.map_targets[static_cast<std::size_t>(i) *
+                            static_cast<std::size_t>(a.arity) +
+                        static_cast<std::size_t>(a.idx)];
+      if constexpr (Validate)
+        if (t == kInvalidLocal) raise_out_of_region(loop_name);
+    }
+    return {a.base + static_cast<std::size_t>(t) *
+                         static_cast<std::size_t>(a.estride),
+            a.cstride};
   }
-  return {a.base + static_cast<std::size_t>(t) *
-                       static_cast<std::size_t>(a.estride),
-          a.cstride};
+}
+
+template <bool Validate, typename... A, typename K, std::size_t... I>
+void range_loop(const K& k, const ResolvedArg* rargs, lidx_t begin,
+                lidx_t end, const char* name, std::index_sequence<I...>) {
+  const ResolvedArg a[sizeof...(I)] = {rargs[I]...};
+  for (lidx_t i = begin; i < end; ++i)
+    k(arg_ref<A, Validate>(a[I], i, name)...);
+}
+
+template <bool Validate, typename... A, typename K, std::size_t... I>
+void list_loop(const K& k, const ResolvedArg* rargs, const lidx_t* idx,
+               std::size_t n, const char* name, std::index_sequence<I...>) {
+  const ResolvedArg a[sizeof...(I)] = {rargs[I]...};
+  for (std::size_t j = 0; j < n; ++j) {
+    const lidx_t i = idx[j];
+    k(arg_ref<A, Validate>(a[I], i, name)...);
+  }
 }
 
 /// Batched dispatch over a contiguous iteration range: argument state is
 /// copied into locals once per region, then the kernel runs the whole
-/// range inside one type-erased call. Direct args reduce to
-/// base-pointer + stride walks the optimiser can vectorise around;
-/// indirect args resolve their map row inside the batch loop.
-template <typename K, std::size_t... I>
+/// range inside one type-erased call. `rargs[j]` resolves as the j-th
+/// type of A...; `validate` picks the checked loop once per region.
+template <typename... A, typename K>
 void invoke_kernel_range(const K& k, const std::vector<ResolvedArg>& rargs,
                          lidx_t begin, lidx_t end, bool validate,
-                         const char* name, std::index_sequence<I...>) {
-  const ResolvedArg a[sizeof...(I)] = {rargs[I]...};
-  for (lidx_t i = begin; i < end; ++i)
-    k(resolve_arg(a[I], i, validate, name)...);
+                         const char* name) {
+  if (validate)
+    range_loop<true, A...>(k, rargs.data(), begin, end, name,
+                           std::index_sequence_for<A...>{});
+  else
+    range_loop<false, A...>(k, rargs.data(), begin, end, name,
+                            std::index_sequence_for<A...>{});
 }
 
 /// Batched dispatch over a gathered index list (exec-halo iterations).
-template <typename K, std::size_t... I>
+template <typename... A, typename K>
 void invoke_kernel_list(const K& k, const std::vector<ResolvedArg>& rargs,
                         const lidx_t* idx, std::size_t n, bool validate,
-                        const char* name, std::index_sequence<I...>) {
-  const ResolvedArg a[sizeof...(I)] = {rargs[I]...};
-  for (std::size_t j = 0; j < n; ++j) {
-    const lidx_t i = idx[j];
-    k(resolve_arg(a[I], i, validate, name)...);
-  }
+                        const char* name) {
+  if (validate)
+    list_loop<true, A...>(k, rargs.data(), idx, n, name,
+                          std::index_sequence_for<A...>{});
+  else
+    list_loop<false, A...>(k, rargs.data(), idx, n, name,
+                           std::index_sequence_for<A...>{});
 }
 }  // namespace detail
 
@@ -353,22 +393,23 @@ public:
   void par_loop(const std::string& name, Set s, Kernel&& kernel,
                 Args... args) {
     static_assert(sizeof...(Args) > 0, "par_loop needs at least one arg");
+    static_assert((detail::is_typed_arg_v<Args> && ...),
+                  "par_loop arguments must come from arg_dat(d, mode), "
+                  "arg_dat(d, idx, map, mode) or arg_gbl(value, dim, mode)");
     detail::LoopRecord rec =
         make_record(name, s, std::vector<Arg>{args...});
-    const std::vector<detail::ResolvedArg>& ra = record_args(rec);
     auto kf = std::forward<Kernel>(kernel);
     const bool validate = validation_enabled();
-    set_bodies(
-        rec,
-        [kf, ra, validate, name](lidx_t begin, lidx_t end) {
-          detail::invoke_kernel_range(kf, ra, begin, end, validate,
-                                      name.c_str(),
-                                      std::index_sequence_for<Args...>{});
-        },
-        [kf, ra, validate, name](const lidx_t* idx, std::size_t n) {
-          detail::invoke_kernel_list(kf, ra, idx, n, validate, name.c_str(),
-                                     std::index_sequence_for<Args...>{});
-        });
+    rec.range_body = [kf, ra = rec.rargs, validate, name](lidx_t begin,
+                                                          lidx_t end) {
+      detail::invoke_kernel_range<Args...>(kf, ra, begin, end, validate,
+                                           name.c_str());
+    };
+    rec.list_body = [kf, ra = rec.rargs, validate, name](const lidx_t* idx,
+                                                         std::size_t n) {
+      detail::invoke_kernel_list<Args...>(kf, ra, idx, n, validate,
+                                          name.c_str());
+    };
     submit(std::move(rec));
   }
 
@@ -393,11 +434,6 @@ private:
 
   detail::LoopRecord make_record(const std::string& name, Set s,
                                  std::vector<Arg> args);
-  const std::vector<detail::ResolvedArg>& record_args(
-      const detail::LoopRecord& rec) const;
-  void set_bodies(detail::LoopRecord& rec,
-                  std::function<void(lidx_t, lidx_t)> range_body,
-                  std::function<void(const lidx_t*, std::size_t)> list_body);
   void submit(detail::LoopRecord rec);
   bool validation_enabled() const;
 

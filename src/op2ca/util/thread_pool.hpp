@@ -15,7 +15,7 @@
 // run() carry over unchanged.
 //
 // Exceptions thrown by any participant (e.g. the validation raise in
-// resolve_arg) are captured and the first one is rethrown from run() /
+// arg_ref) are captured and the first one is rethrown from run() /
 // run_graph() on the rank thread, preserving the World::run
 // error-collection contract. A throwing graph task additionally aborts
 // the epoch: remaining tasks are abandoned, every participant drains,

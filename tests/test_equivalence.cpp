@@ -6,7 +6,9 @@
 // must match exactly — EXPECT_EQ on the raw vectors, no tolerance.
 //
 // Covered modes: per-loop OP2, explicit CA chains, and lazy auto-chaining,
-// each multi-rank, on the MG-CFD synthetic chain and a Hydra chain.
+// each multi-rank, on the MG-CFD synthetic chain and a Hydra chain. The
+// batched-vs-per-element rows run with WorldConfig::validate on and off
+// (off is the loop every default run executes).
 #include <gtest/gtest.h>
 
 #include "op2ca/apps/hydra/hydra.hpp"
@@ -25,12 +27,13 @@ WorldConfig equiv_config(int nranks, Mode mode, bool serial_dispatch,
                          mesh::ReorderKind reorder = mesh::ReorderKind::None,
                          int threads = 1,
                          mesh::LayoutConfig layout = {},
-                         gpu::DeviceConfig device = {}) {
+                         gpu::DeviceConfig device = {},
+                         bool validate = true) {
   WorldConfig cfg;
   cfg.nranks = nranks;
   cfg.partitioner = partition::Kind::KWay;
   cfg.halo_depth = 2;
-  cfg.validate = true;
+  cfg.validate = validate;
   cfg.serial_dispatch = serial_dispatch;
   cfg.reorder.kind = reorder;
   cfg.threads_per_rank = threads;
@@ -115,6 +118,17 @@ SynthResult run_synth(int nranks, Mode mode, bool serial_dispatch,
                          mode);
 }
 
+/// run_synth on the default data plane with per-iteration validation on
+/// or off. Validation only adds a check on indirect targets, so both legs
+/// must agree bitwise; off is the loop every default run executes.
+SynthResult run_synth_validated(int nranks, Mode mode, bool serial_dispatch,
+                                bool validate) {
+  return run_synth_world(equiv_config(nranks, mode, serial_dispatch,
+                                      mesh::ReorderKind::None, 1, {}, {},
+                                      validate),
+                         mode);
+}
+
 /// run_synth under a non-default transport layer (persistent channels,
 /// alternate backend). The transport moves the same bytes to the same
 /// buffers — under different tags and handshakes — so every
@@ -132,32 +146,46 @@ void expect_bitwise(const SynthResult& a, const SynthResult& b) {
   EXPECT_EQ(a.spres, b.spres);
 }
 
+/// Batched == per-element dispatch under both validation settings, and
+/// the unvalidated batched run == the validated one.
+void expect_batched_matches_per_element(int nranks, Mode mode) {
+  std::vector<SynthResult> batched;
+  for (const bool validate : {true, false}) {
+    SCOPED_TRACE(validate ? "validate on" : "validate off");
+    batched.push_back(run_synth_validated(nranks, mode, false, validate));
+    expect_bitwise(batched.back(),
+                   run_synth_validated(nranks, mode, true, validate));
+  }
+  expect_bitwise(batched[0], batched[1]);
+}
+
 TEST(Equivalence, BatchedMatchesPerElementOp2) {
-  expect_bitwise(run_synth(5, Mode::kOp2, false),
-                 run_synth(5, Mode::kOp2, true));
+  expect_batched_matches_per_element(5, Mode::kOp2);
 }
 
 TEST(Equivalence, BatchedMatchesPerElementCa) {
-  expect_bitwise(run_synth(6, Mode::kCa, false),
-                 run_synth(6, Mode::kCa, true));
+  expect_batched_matches_per_element(6, Mode::kCa);
 }
 
 TEST(Equivalence, BatchedMatchesPerElementLazy) {
-  expect_bitwise(run_synth(5, Mode::kLazy, false),
-                 run_synth(5, Mode::kLazy, true));
+  expect_batched_matches_per_element(5, Mode::kLazy);
 }
 
 TEST(Equivalence, ModesAgreeToTolerance) {
   // Cross-mode results differ only by FP summation order; sanity-check
   // the three batched modes stay within the usual tolerance of each
   // other (bitwise identity across modes is NOT expected).
-  const SynthResult op2 = run_synth(5, Mode::kOp2, false);
-  const SynthResult ca = run_synth(5, Mode::kCa, false);
-  const SynthResult lazy = run_synth(5, Mode::kLazy, false);
-  testutil::expect_allclose(op2.sres, ca.sres);
-  testutil::expect_allclose(op2.sres, lazy.sres);
-  testutil::expect_allclose(op2.sflux, ca.sflux);
-  testutil::expect_allclose(op2.sflux, lazy.sflux);
+  for (const bool validate : {true, false}) {
+    SCOPED_TRACE(validate ? "validate on" : "validate off");
+    const SynthResult op2 = run_synth_validated(5, Mode::kOp2, false, validate);
+    const SynthResult ca = run_synth_validated(5, Mode::kCa, false, validate);
+    const SynthResult lazy =
+        run_synth_validated(5, Mode::kLazy, false, validate);
+    testutil::expect_allclose(op2.sres, ca.sres);
+    testutil::expect_allclose(op2.sres, lazy.sres);
+    testutil::expect_allclose(op2.sflux, ca.sflux);
+    testutil::expect_allclose(op2.sflux, lazy.sflux);
+  }
 }
 
 // -- Transport layer (WorldConfig::transport). --------------------------
@@ -505,8 +533,8 @@ struct HydraResult {
   std::vector<double> ql, res, visres;
 };
 
-HydraResult run_hydra_chain(int nranks, bool enable_ca,
-                            bool serial_dispatch) {
+HydraResult run_hydra_chain(int nranks, bool enable_ca, bool serial_dispatch,
+                            bool validate) {
   namespace hy = apps::hydra;
   hy::Problem prob = hy::build_problem(1500);
   const hy::Problem ids = prob;
@@ -514,7 +542,7 @@ HydraResult run_hydra_chain(int nranks, bool enable_ca,
   cfg.nranks = nranks;
   cfg.partitioner = partition::Kind::RIB;
   cfg.halo_depth = 2;
-  cfg.validate = true;
+  cfg.validate = validate;
   cfg.serial_dispatch = serial_dispatch;
   if (enable_ca) {
     cfg.chains.enable("gradl");
@@ -531,20 +559,31 @@ HydraResult run_hydra_chain(int nranks, bool enable_ca,
                      w.fetch_dat(ids.visres)};
 }
 
+void expect_hydra_bitwise(const HydraResult& a, const HydraResult& b) {
+  EXPECT_EQ(a.ql, b.ql);
+  EXPECT_EQ(a.res, b.res);
+  EXPECT_EQ(a.visres, b.visres);
+}
+
+/// Batched == per-element under both validation settings, and the
+/// unvalidated batched run == the validated one.
+void expect_hydra_batched_matches_per_element(bool enable_ca) {
+  std::vector<HydraResult> batched;
+  for (const bool validate : {true, false}) {
+    SCOPED_TRACE(validate ? "validate on" : "validate off");
+    batched.push_back(run_hydra_chain(5, enable_ca, false, validate));
+    expect_hydra_bitwise(batched.back(),
+                         run_hydra_chain(5, enable_ca, true, validate));
+  }
+  expect_hydra_bitwise(batched[0], batched[1]);
+}
+
 TEST(Equivalence, HydraVfluxBatchedMatchesPerElementCa) {
-  const HydraResult batched = run_hydra_chain(5, true, false);
-  const HydraResult serial = run_hydra_chain(5, true, true);
-  EXPECT_EQ(batched.ql, serial.ql);
-  EXPECT_EQ(batched.res, serial.res);
-  EXPECT_EQ(batched.visres, serial.visres);
+  expect_hydra_batched_matches_per_element(true);
 }
 
 TEST(Equivalence, HydraVfluxBatchedMatchesPerElementOp2) {
-  const HydraResult batched = run_hydra_chain(5, false, false);
-  const HydraResult serial = run_hydra_chain(5, false, true);
-  EXPECT_EQ(batched.ql, serial.ql);
-  EXPECT_EQ(batched.res, serial.res);
-  EXPECT_EQ(batched.visres, serial.visres);
+  expect_hydra_batched_matches_per_element(false);
 }
 
 }  // namespace

@@ -593,5 +593,110 @@ TEST(RuntimeOp2, PhaseTimingsSumToWall) {
   }
 }
 
+// The constructors' result types carry the argument kind par_loop
+// resolves by; a plain Arg is rejected at compile time.
+static_assert(std::is_same_v<decltype(arg_dat(Dat{}, Access::READ)),
+                             DirectArg>);
+static_assert(std::is_same_v<decltype(arg_dat(Dat{}, 0, Map{},
+                                              Access::READ)),
+                             IndirectArg>);
+static_assert(std::is_same_v<decltype(arg_gbl(nullptr, 1, Access::READ)),
+                             GblArg>);
+static_assert(!detail::is_typed_arg_v<Arg>);
+
+TEST(ParLoop, RegionBodiesResolveEveryArgKind) {
+  using detail::ElemRef;
+  using detail::ResolvedArg;
+  constexpr lidx_t kEdges = 5, kNodes = 8;
+  const std::vector<lidx_t> e2n = {3, 1, 0, 7, 5, 2, 6, 4, 1, 3};
+  double gbl_read[2] = {1.0, 2.0};
+  double gbl_inc[3] = {0.0, 0.0, 0.0};
+
+  using Call = std::vector<std::pair<const double*, lidx_t>>;
+  std::vector<Call> calls;
+  const auto record = [&calls](ElemRef e, ElemRef n0, ElemRef n1, ElemRef gr,
+                               ElemRef gi) {
+    calls.push_back({{e.p, e.stride},
+                     {n0.p, n0.stride},
+                     {n1.p, n1.stride},
+                     {gr.p, gr.stride},
+                     {gi.p, gi.stride}});
+  };
+  using D = DirectArg;
+  using In = IndirectArg;
+  using G = GblArg;
+
+  for (const mesh::LayoutKind kind :
+       {mesh::LayoutKind::AoS, mesh::LayoutKind::SoA}) {
+    const mesh::DatLayout el = mesh::DatLayout::make(kind, 2, kEdges);
+    const mesh::DatLayout nl = mesh::DatLayout::make(kind, 3, kNodes);
+    std::vector<double> edat(el.alloc_doubles()), ndat(nl.alloc_doubles());
+    std::vector<ResolvedArg> rargs(5);
+    rargs[0].base = edat.data();
+    rargs[0].bind_layout(el);
+    for (int c = 0; c < 2; ++c) {
+      ResolvedArg& ra = rargs[static_cast<std::size_t>(1 + c)];
+      ra.base = ndat.data();
+      ra.bind_layout(nl);
+      ra.map_targets = e2n.data();
+      ra.arity = 2;
+      ra.idx = c;
+    }
+    // A gbl resolves to its buffer with stride 1 whatever the layout
+    // fields hold.
+    rargs[3] = rargs[4] = rargs[0];
+    rargs[3].base = gbl_read;
+    rargs[4].base = gbl_inc;
+
+    const auto expect_row = [&](const Call& got, lidx_t row) {
+      ASSERT_EQ(got.size(), 5U);
+      EXPECT_EQ(got[0].first, edat.data() + row * el.estride);
+      EXPECT_EQ(got[0].second, el.cstride);
+      for (int c = 0; c < 2; ++c) {
+        const lidx_t t = e2n[static_cast<std::size_t>(row * 2 + c)];
+        EXPECT_EQ(got[static_cast<std::size_t>(1 + c)].first,
+                  ndat.data() + t * nl.estride);
+        EXPECT_EQ(got[static_cast<std::size_t>(1 + c)].second, nl.cstride);
+      }
+      EXPECT_EQ(got[3].first, gbl_read);
+      EXPECT_EQ(got[3].second, 1);
+      EXPECT_EQ(got[4].first, gbl_inc);
+      EXPECT_EQ(got[4].second, 1);
+    };
+
+    const std::vector<lidx_t> list = {4, 0, 2};
+    const auto run_range = [&](bool validate) {
+      detail::invoke_kernel_range<D, In, In, G, G>(record, rargs, 1, kEdges,
+                                                   validate, "probe");
+    };
+    const auto run_list = [&](bool validate) {
+      detail::invoke_kernel_list<D, In, In, G, G>(
+          record, rargs, list.data(), list.size(), validate, "probe");
+    };
+    for (const bool validate : {false, true}) {
+      SCOPED_TRACE(std::string(mesh::layout_name(kind)) +
+                   (validate ? " validate" : " unvalidated"));
+      calls.clear();
+      run_range(validate);
+      ASSERT_EQ(calls.size(), static_cast<std::size_t>(kEdges - 1));
+      for (lidx_t i = 1; i < kEdges; ++i)
+        expect_row(calls[static_cast<std::size_t>(i - 1)], i);
+
+      calls.clear();
+      run_list(validate);
+      ASSERT_EQ(calls.size(), list.size());
+      for (std::size_t j = 0; j < list.size(); ++j)
+        expect_row(calls[j], list[j]);
+    }
+
+    // Validation still catches an indirect target outside the region.
+    std::vector<lidx_t> holed = e2n;
+    holed[5] = kInvalidLocal;  // edge 2, column 1
+    rargs[2].map_targets = holed.data();
+    EXPECT_THROW(run_range(true), Error);
+    EXPECT_THROW(run_list(true), Error);
+  }
+}
+
 }  // namespace
 }  // namespace op2ca::core
