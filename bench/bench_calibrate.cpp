@@ -1,30 +1,24 @@
 // CommBench-style wire calibration across transport backends.
 //
-// Measures the cost model's per-tier (latency, bandwidth, effective
-// rails) triples on the backend actually selected — the in-process sim
-// fabric, the MPI stub, or real MPI under mpirun — and emits
-// BENCH_calibration.json for TierParams::from_calibration /
-// --calibration consumers. Three sweeps per tier, in the CommBench
-// pattern:
+// Measures per-tier (latency, bandwidth) pairs on the backend actually
+// selected — the in-process sim fabric, the MPI stub, or real MPI under
+// mpirun — and emits BENCH_calibration.json for the --calibration
+// consumers (sim::load_calibration; the model folds in the net tier).
+// Two sweeps per tier, in the CommBench pattern:
 //
 //   latency     8-byte ping-pong between ranks (0, stride); RTT/2.
 //   bandwidth   large-message ping-pong on the same pair; bytes/(RTT/2).
-//   rails       every rank joins a disjoint pair at the same stride and
-//               streams concurrently; effective rails = aggregate
-//               bandwidth / single-pair bandwidth, clamped to
-//               [1, kMaxRails].
 //
-// The tier -> rank-pair mapping mirrors CostModel::tier_of: stride 1
-// stays inside a NUMA domain, stride --rpnuma crosses domains of one
-// node, stride --rpnode crosses nodes (each clamped to nranks-1; on an
-// in-process fabric the tiers are physically identical, so measurements
-// are clamped monotone before emission exactly as the loader and the CI
-// gate require).
+// Tier -> rank-pair stride: stride 1 stays inside a NUMA domain, stride
+// --rpnuma crosses domains of one node, stride --rpnode crosses nodes
+// (each clamped to nranks-1; on an in-process fabric the tiers are
+// physically identical, so measurements are clamped monotone before
+// emission exactly as the loader and the CI gate require).
 //
 // Measurements use the raw TransportBackend post/match interface and
-// WallTimer — below Comm, so no virtual clock, striping or channel layer
-// colours the numbers. Payload staging allocation rides along on the
-// sender, as it does in the runtime's pack path.
+// WallTimer — below Comm, so no channel layer colours the numbers.
+// Payload staging allocation rides along on the sender, as it does in
+// the runtime's pack path.
 //
 // Usage:
 //   bench_calibrate [--backend=sim|mpi] [--nranks=N] [--bytes=B]
@@ -35,8 +29,6 @@
 // as World::run).
 
 #include <algorithm>
-#include <cmath>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -58,7 +50,6 @@ using namespace op2ca::sim;
 
 constexpr tag_t kTagPing = 1001;
 constexpr tag_t kTagPong = 1002;
-constexpr tag_t kTagResult = 1003;
 
 struct Config {
   std::string backend = "sim";
@@ -78,26 +69,6 @@ void send_bytes(TransportBackend& tb, rank_t src, rank_t dst, tag_t tag,
   m.tag = tag;
   m.payload = ByteBuf(bytes);
   tb.post(std::move(m));
-}
-
-void send_double(TransportBackend& tb, rank_t src, rank_t dst, tag_t tag,
-                 double v) {
-  Message m;
-  m.src = src;
-  m.dst = dst;
-  m.tag = tag;
-  m.payload = ByteBuf(sizeof(double));
-  std::memcpy(m.payload.data(), &v, sizeof(double));
-  tb.post(std::move(m));
-}
-
-double recv_double(TransportBackend& tb, rank_t dst, rank_t src, tag_t tag) {
-  const Message m = tb.match(dst, src, tag);
-  OP2CA_ASSERT(m.payload.size() == sizeof(double),
-               "calibrate: result payload size mismatch");
-  double v = 0;
-  std::memcpy(&v, m.payload.data(), sizeof(double));
-  return v;
 }
 
 /// One ping-pong sweep between `me` and `peer`; returns the initiator's
@@ -120,31 +91,17 @@ double ping_pong(TransportBackend& tb, rank_t me, rank_t peer,
   return timer.elapsed() / (2.0 * iters);
 }
 
-/// Disjoint same-stride pairing: ranks fold into blocks of 2*stride and
-/// rank b+i talks to b+i+stride. Returns the peer, or -1 when this rank
-/// sits in a partial trailing block and idles.
-rank_t pair_peer(rank_t r, int stride, int nranks, bool* initiator) {
-  const rank_t block = r / (2 * stride) * (2 * stride);
-  if (block + 2 * stride > nranks) return -1;
-  const rank_t off = r - block;
-  *initiator = off < stride;
-  return *initiator ? r + stride : r - stride;
-}
-
 struct TierMeasurement {
   double latency_s = 0;
   double bandwidth_Bps = 0;
-  int rails = 1;
   int stride = 1;
-  int pairs = 1;
 };
 
-/// Runs the three sweeps of one tier. Every rank must call this
+/// Runs the two sweeps of one tier. Every rank must call this
 /// (collective: barriers fence each sweep); the result is meaningful on
 /// rank 0 only.
 TierMeasurement measure_tier(TransportBackend& tb, rank_t me, int stride,
                              const Config& cfg) {
-  const int nranks = tb.size();
   TierMeasurement out;
   out.stride = stride;
 
@@ -166,39 +123,6 @@ TierMeasurement measure_tier(TransportBackend& tb, rank_t me, int stride,
     ping_pong(tb, me, 0, cfg.bytes, cfg.iters, /*initiator=*/false);
   if (me == 0)
     out.bandwidth_Bps = static_cast<double>(cfg.bytes) / single_s;
-
-  // Concurrent pairs at the same stride: each initiator measures its
-  // pair's bandwidth and reports to rank 0, which sums the aggregate.
-  tb.barrier();
-  bool initiator = false;
-  const rank_t peer = pair_peer(me, stride, nranks, &initiator);
-  double mine = 0;
-  if (peer >= 0) {
-    const double one_way =
-        ping_pong(tb, me, peer, cfg.bytes, cfg.iters, initiator);
-    if (initiator) mine = static_cast<double>(cfg.bytes) / one_way;
-  }
-  if (me == 0) {
-    double aggregate = 0;
-    int pairs = 0;
-    if (peer >= 0 && initiator) {
-      aggregate += mine;
-      ++pairs;
-    }
-    for (rank_t r = 1; r < nranks; ++r) {
-      bool r_init = false;
-      if (pair_peer(r, stride, nranks, &r_init) >= 0 && r_init) {
-        aggregate += recv_double(tb, 0, r, kTagResult);
-        ++pairs;
-      }
-    }
-    out.pairs = pairs;
-    const double ratio = aggregate / out.bandwidth_Bps;
-    out.rails = static_cast<int>(
-        std::clamp(std::lround(ratio), long{1}, long{kMaxRails}));
-  } else if (peer >= 0 && initiator) {
-    send_double(tb, me, 0, kTagResult, mine);
-  }
   tb.barrier();
   return out;
 }
@@ -246,9 +170,8 @@ void write_json(const Config& cfg, const CalibrationRun& run,
     os << "    \"" << tier_name(static_cast<Tier>(t)) << "\": "
        << "{\"latency_s\": " << m.latency_s
        << ", \"bandwidth_Bps\": " << m.bandwidth_Bps
-       << ", \"rails\": " << m.rails << ", \"stride\": " << m.stride
-       << ", \"pairs\": " << m.pairs << "}" << (t + 1 < kNumTiers ? "," : "")
-       << "\n";
+       << ", \"stride\": " << m.stride << "}"
+       << (t + 1 < kNumTiers ? "," : "") << "\n";
   }
   os << "  }\n";
   os << "}\n";
@@ -310,16 +233,13 @@ int main(int argc, char** argv) {
 
       Table table("wire calibration (" + label + ", " +
                   std::to_string(cfg.nranks) + " ranks)");
-      table.set_header({"tier", "stride", "pairs", "latency_us",
-                        "bandwidth_GBps", "rails"});
+      table.set_header({"tier", "stride", "latency_us", "bandwidth_GBps"});
       table.set_precision(3);
       for (int t = 0; t < kNumTiers; ++t) {
         const TierMeasurement& m = run.tiers[t];
         table.add_row({std::string(tier_name(static_cast<Tier>(t))),
                        static_cast<std::int64_t>(m.stride),
-                       static_cast<std::int64_t>(m.pairs),
-                       m.latency_s * 1e6, m.bandwidth_Bps / 1e9,
-                       static_cast<std::int64_t>(m.rails)});
+                       m.latency_s * 1e6, m.bandwidth_Bps / 1e9});
       }
       table.print(std::cout);
       std::cout << "wrote " << cfg.out << "\n";

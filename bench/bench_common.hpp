@@ -17,14 +17,10 @@
 //   --vector-width=X override the SIMD speedup factor applied for a
 //                  non-AoS layout (default: kDefaultLayoutSpeedup, the
 //                  measured direct-loop A/B ratio from BENCH_simd.json)
-//   --rails=N      model N network rails (0 = keep the machine preset's
-//                  rail count; overrides Machine::net.net_rails — the
-//                  runtime sends one message per neighbour regardless)
 //   --calibration=F  fold a bench_calibrate BENCH_calibration.json into
-//                  the machine preset's network model (per-tier measured
-//                  latency/bandwidth/rails replace the preset's guesses;
-//                  an explicit --rails still wins over the measured rail
-//                  count)
+//                  the machine preset's network model (the measured net
+//                  tier's latency and bandwidth replace the preset's L
+//                  and B)
 //   --device       model device-resident execution: replace the GPU
 //                  preset's extra_latency_s lump with the derived
 //                  Machine::DeviceTier Lambda
@@ -75,7 +71,6 @@ struct BenchConfig {
   int threads = 1;
   mesh::LayoutKind layout = mesh::LayoutKind::AoS;
   double vector_width = 0;  ///< 0 = derive from `layout`.
-  int rails = 0;  ///< 0 = machine preset's rail count.
   std::string calibration;  ///< BENCH_calibration.json path; empty = presets.
   bool device = false;
   std::string device_mode = "pipelined";
@@ -90,7 +85,6 @@ struct BenchConfig {
     cfg.threads = static_cast<int>(opt.get_int("threads", 1));
     cfg.layout = mesh::layout_by_name(opt.get_string("layout", "aos"));
     cfg.vector_width = opt.get_double("vector-width", 0);
-    cfg.rails = static_cast<int>(opt.get_int("rails", 0));
     cfg.calibration = opt.get_string("calibration", "");
     cfg.device = opt.get_bool("device", false);
     cfg.device_mode = opt.get_string("device-mode", "pipelined");
@@ -102,8 +96,6 @@ struct BenchConfig {
     OP2CA_REQUIRE(cfg.scale >= 1, "--scale must be >= 1");
     OP2CA_REQUIRE(cfg.threads >= 1, "--threads must be >= 1");
     OP2CA_REQUIRE(cfg.vector_width >= 0, "--vector-width must be >= 0");
-    OP2CA_REQUIRE(cfg.rails >= 0 && cfg.rails <= sim::kMaxRails,
-                  "--rails must be in [0, 8]");
     OP2CA_REQUIRE(cfg.pipeline_stages >= 1,
                   "--pipeline-stages must be >= 1");
     return cfg;
@@ -118,11 +110,9 @@ struct BenchConfig {
       mach.vector_width = vector_width;
     else if (layout != mesh::LayoutKind::AoS)
       mach.vector_width = kDefaultLayoutSpeedup;
-    // Measured wire parameters replace the preset's guesses first, so an
-    // explicit --rails still wins over the calibrated rail count.
+    // Measured wire parameters replace the preset's guesses.
     if (!calibration.empty())
       sim::apply_calibration(sim::load_calibration(calibration), &mach.net);
-    if (rails > 0) mach.net.net_rails = rails;
     if (device) {
       // Replace the preset's hand-tuned extra_latency_s lump with the
       // derived PCIe tier: an S-stage software pipeline exposes ~1/S of
@@ -139,9 +129,9 @@ struct BenchConfig {
 };
 
 inline std::set<std::string> standard_option_names() {
-  return {"scale",  "csv",         "calibrate",   "threads",
-          "layout", "vector-width", "rails",       "calibration",
-          "device", "device-mode",  "pipeline-stages", "tile"};
+  return {"scale",  "csv",         "calibrate",       "threads",
+          "layout", "vector-width", "calibration",     "device",
+          "device-mode", "pipeline-stages", "tile"};
 }
 
 /// Paper mesh sizes by label.

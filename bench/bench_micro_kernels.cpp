@@ -944,11 +944,12 @@ void write_hotpath_json(const char* path, const HotpathResult& h,
 //              the median of 5 reps run with the modes alternating.
 //              Its 4 MiB ratio is persistent_wall_ratio (reported, not
 //              gated).
-//   model_us — the receiver's virtual clock, charged by the tiered cost
-//              model (message_time / channel_time) on an archer2-like
-//              network. The gated persistent_speedup is this modelled
-//              ratio: a persistent channel drops the per-message host
-//              overhead to the channel overhead.
+//   model_us — the cost model's prediction for one message of the
+//              case's size (message_time / channel_time) on an
+//              archer2-like network, printed beside the measured wall.
+//              The gated persistent_speedup is this modelled ratio: a
+//              persistent channel drops the per-message host overhead
+//              to the channel overhead.
 // ---------------------------------------------------------------------
 
 /// BENCH_calibration.json path from --calibration=; empty = use the
@@ -958,7 +959,7 @@ std::string g_calibration_path;  // NOLINT
 /// Archer2-flavoured network for the A/B sweep. The per-message host
 /// overhead is the quantity persistent channels amortise; keep it and the
 /// channel overhead at the preset's values. With --calibration=, the
-/// measured per-tier wire parameters replace these guesses (host
+/// measured net tier's latency and bandwidth replace these guesses (host
 /// overheads stay: the wire sweeps do not measure them).
 sim::CostModel transport_bench_model() {
   sim::CostModel cm;
@@ -980,7 +981,8 @@ struct TransportCase {
 };
 
 /// One sender thread streams `iters` messages to one receiver; the
-/// receiver's wall time and virtual clock make the case's two numbers.
+/// receiver's wall time is the measurement, the cost model's time for one
+/// message the prediction.
 TransportCase bench_transport_case(bool persistent, std::size_t bytes,
                                    int iters) {
   const sim::CostModel cm = transport_bench_model();
@@ -991,9 +993,11 @@ TransportCase bench_transport_case(bool persistent, std::size_t bytes,
   TransportCase r;
   r.mode = persistent ? "persistent" : "adhoc";
   r.bytes = bytes;
+  const auto n = static_cast<std::int64_t>(bytes);
+  r.model_us = (persistent ? cm.channel_time(n) : cm.message_time(n)) * 1e6;
 
   std::thread sender([&] {
-    sim::Comm c(t, 0, &cm, &tc);
+    sim::Comm c(t, 0, &tc);
     std::vector<sim::Channel> chans;
     if (persistent) {
       sim::ChannelSpec spec{1, /*sender=*/true, bytes, /*plan_hash=*/1};
@@ -1009,7 +1013,7 @@ TransportCase bench_transport_case(bool persistent, std::size_t bytes,
     }
   });
   {
-    sim::Comm c(t, 1, &cm, &tc);
+    sim::Comm c(t, 1, &tc);
     std::vector<sim::Channel> chans;
     if (persistent) {
       sim::ChannelSpec spec{0, /*sender=*/false, bytes, /*plan_hash=*/1};
@@ -1023,7 +1027,6 @@ TransportCase bench_transport_case(bool persistent, std::size_t bytes,
       c.wait(req);
     }
     r.wall_us = timer.elapsed() / iters * 1e6;
-    r.model_us = c.clock().now() / iters * 1e6;
   }
   sender.join();
   return r;
@@ -1052,7 +1055,7 @@ void write_transport_json(const char* path) {
     std::sort(walls[c].begin(), walls[c].end());
     cases[c].wall_us = walls[c][walls[c].size() / 2];
   }
-  // Modelled: ratios of the cost model's virtual clocks.
+  // Modelled: ratios of the cost model's per-message times.
   const double persistent_speedup = cases[0].model_us / cases[2].model_us;
   const double persistent_speedup_large =
       cases[1].model_us / cases[3].model_us;

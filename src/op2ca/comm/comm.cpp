@@ -11,16 +11,12 @@ void CommStats::reset_epoch() {
   epoch_msgs_sent = 0;
   epoch_bytes_sent = 0;
   epoch_max_msg_bytes = 0;
-  for (int t = 0; t < kNumTiers; ++t) {
-    epoch_msgs_by_tier[t] = 0;
-    epoch_bytes_by_tier[t] = 0;
-  }
   epoch_neighbors.clear();
 }
 
-Comm::Comm(TransportBackend& transport, rank_t rank, const CostModel* cost,
+Comm::Comm(TransportBackend& transport, rank_t rank,
            const TransportConfig* tcfg)
-    : transport_(&transport), rank_(rank), cost_(cost) {
+    : transport_(&transport), rank_(rank) {
   OP2CA_REQUIRE(rank >= 0 && rank < transport.size(),
                 "Comm rank out of range");
   if (tcfg != nullptr) tcfg_ = *tcfg;
@@ -77,18 +73,13 @@ Request Comm::post_send(rank_t dst, tag_t tag, Message msg) {
 
 void Comm::record_send(rank_t dst, std::size_t bytes) {
   const auto n = static_cast<std::int64_t>(bytes);
-  const int tier = static_cast<int>(tier_to(dst));
   std::lock_guard<std::mutex> lock(stats_mu_);
   stats_.msgs_sent += 1;
   stats_.bytes_sent += n;
-  stats_.msgs_by_tier[tier] += 1;
-  stats_.bytes_by_tier[tier] += n;
   stats_.send_neighbors.insert(dst);
   stats_.epoch_msgs_sent += 1;
   stats_.epoch_bytes_sent += n;
   stats_.epoch_max_msg_bytes = std::max(stats_.epoch_max_msg_bytes, n);
-  stats_.epoch_msgs_by_tier[tier] += 1;
-  stats_.epoch_bytes_by_tier[tier] += n;
   stats_.epoch_neighbors.insert(dst);
 }
 
@@ -223,11 +214,6 @@ Message Comm::match_or_raise(rank_t src, tag_t tag, const char* what) {
 void Comm::complete_recv(Request& req) {
   Message msg = transport_->match(rank_, req.peer, req.tag);
   *req.recv_buffer = std::move(msg.payload);
-  charge(cost_ != nullptr
-             ? cost_->message_time(
-                   static_cast<std::int64_t>(req.recv_buffer->size()),
-                   tier_to(req.peer))
-             : 0.0);
 }
 
 void Comm::complete_channel_recv(Request& req) {
@@ -239,10 +225,6 @@ void Comm::complete_channel_recv(Request& req) {
                     " delivered " + std::to_string(m.payload.size()) +
                     "B into a " + std::to_string(ch.bytes) + "B slot");
   *req.recv_buffer = std::move(m.payload);
-  charge(cost_ != nullptr
-             ? cost_->channel_time(static_cast<std::int64_t>(ch.bytes),
-                                   tier_to(ch.peer))
-             : 0.0);
 }
 
 void Comm::wait(Request& req) {

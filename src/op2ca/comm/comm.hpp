@@ -1,6 +1,7 @@
 // Per-rank communicator over a pluggable TransportBackend, with
-// non-blocking send/recv requests, communication statistics, and a
-// virtual clock fed by a pluggable cost model. Mirrors the MPI calls used
+// non-blocking send/recv requests and communication statistics. It
+// measures; it does not model (the cost model in comm/cost_model.hpp is
+// a prediction beside these counters). Mirrors the MPI calls used
 // in Alg 1 / Alg 2 of the paper (MPI_Isend, MPI_Irecv, MPI_Wait,
 // MPI_Send_init-style persistent channels).
 //
@@ -18,9 +19,7 @@
 #include <vector>
 
 #include "op2ca/comm/channel.hpp"
-#include "op2ca/comm/cost_model.hpp"
 #include "op2ca/comm/transport.hpp"
-#include "op2ca/util/timer.hpp"
 #include "op2ca/util/types.hpp"
 
 namespace op2ca::sim {
@@ -34,9 +33,6 @@ struct CommStats {
   /// copied from a caller-owned span.
   std::int64_t sends_moved = 0;
   std::int64_t sends_copied = 0;
-  /// Wire messages sent per machine tier (indexed by Tier).
-  std::int64_t msgs_by_tier[kNumTiers] = {0, 0, 0};
-  std::int64_t bytes_by_tier[kNumTiers] = {0, 0, 0};
   /// Persistent channels negotiated / messages sent through them.
   std::int64_t channels_opened = 0;
   std::int64_t channel_sends = 0;
@@ -45,8 +41,6 @@ struct CommStats {
   std::int64_t epoch_msgs_sent = 0;
   std::int64_t epoch_bytes_sent = 0;
   std::int64_t epoch_max_msg_bytes = 0;
-  std::int64_t epoch_msgs_by_tier[kNumTiers] = {0, 0, 0};
-  std::int64_t epoch_bytes_by_tier[kNumTiers] = {0, 0, 0};
   std::set<rank_t> epoch_neighbors;
 
   void reset_epoch();
@@ -82,7 +76,6 @@ private:
 class Comm {
 public:
   Comm(TransportBackend& transport, rank_t rank,
-       const CostModel* cost = nullptr,
        const TransportConfig* tcfg = nullptr);
 
   rank_t rank() const { return rank_; }
@@ -139,22 +132,13 @@ public:
   CommStats& stats() { return stats_; }
   const CommStats& stats() const { return stats_; }
 
-  /// Virtual (modeled) time accumulated by the cost model, if one is set.
-  VirtualClock& clock() { return clock_; }
-  const CostModel* cost_model() const { return cost_; }
   const TransportConfig& transport_config() const { return tcfg_; }
 
 private:
   friend class Collectives;
   Request post_send(rank_t dst, tag_t tag, Message msg);
-  /// Stats + tier accounting for one wire message to `dst`.
+  /// Stats accounting for one wire message to `dst`.
   void record_send(rank_t dst, std::size_t bytes);
-  Tier tier_to(rank_t peer) const {
-    return cost_ != nullptr ? cost_->tier_of(rank_, peer) : Tier::Net;
-  }
-  void charge(double seconds) {
-    if (cost_ != nullptr) clock_.advance(seconds);
-  }
   /// match_for with the configured receive deadline; raises `what`
   /// context on timeout instead of returning false.
   Message match_or_raise(rank_t src, tag_t tag, const char* what);
@@ -164,10 +148,8 @@ private:
 
   TransportBackend* transport_;
   rank_t rank_;
-  const CostModel* cost_;
   TransportConfig tcfg_;  ///< copied; defaults when none supplied.
   CommStats stats_;
-  VirtualClock clock_;
 
   /// Per-destination send serialisation (see class doc).
   std::unique_ptr<std::mutex[]> dest_mu_;

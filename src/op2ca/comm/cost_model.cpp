@@ -1,8 +1,8 @@
-// Calibration-file loading for the hierarchical cost model.
+// Calibration-file loading for the cost model.
 //
 // BENCH_calibration.json is emitted by bench/bench_calibrate.cpp and
 // read back here so the analytic model (and the fig10-13 drivers, via
-// --calibration) can run on measured per-tier numbers instead of the
+// --calibration) can run on the measured net tier instead of the
 // presets' guesses. The parser handles exactly the flat schema the
 // bench emits — a hand-rolled scanner, deliberately strict: a missing
 // tier or field raises instead of silently keeping a guess.
@@ -80,20 +80,14 @@ TierParams tier_object(const std::string& text, Tier t,
   TierParams p;
   p.latency_s = number_field(text, "latency_s", open, close, ctx);
   p.bandwidth_Bps = number_field(text, "bandwidth_Bps", open, close, ctx);
-  p.rails = static_cast<int>(number_field(text, "rails", open, close, ctx));
   OP2CA_REQUIRE(p.latency_s > 0,
                 "calibration: " + ctx + " latency must be > 0");
   OP2CA_REQUIRE(p.bandwidth_Bps > 0,
                 "calibration: " + ctx + " bandwidth must be > 0");
-  OP2CA_REQUIRE(p.rails >= 1, "calibration: " + ctx + " rails must be >= 1");
   return p;
 }
 
 }  // namespace
-
-TierParams TierParams::from_calibration(const Calibration& cal, Tier t) {
-  return cal.tier(t);
-}
 
 Calibration parse_calibration(const std::string& json_text) {
   Calibration cal;
@@ -141,12 +135,9 @@ Calibration load_calibration(const std::string& path) {
 void apply_calibration(const Calibration& cal, CostModel* cm) {
   OP2CA_REQUIRE(cm != nullptr, "apply_calibration: null cost model");
   cm->name += "+calibrated(" + cal.backend + ")";
-  cm->numa = cal.tier(Tier::Numa);
-  cm->node = cal.tier(Tier::Node);
   const TierParams& net = cal.tier(Tier::Net);
   cm->latency_s = net.latency_s;
   cm->bandwidth_Bps = net.bandwidth_Bps;
-  cm->net_rails = net.rails;
 }
 
 }  // namespace op2ca::sim

@@ -132,11 +132,6 @@ struct LoopMetrics {
   // bytes moved per exchanged element for EXPERIMENTS.md correlations.
   std::int64_t layout_code = 0;
   std::int64_t halo_elems = 0;
-  // Transport hierarchy: wire bytes sent per machine tier (NUMA-local,
-  // node-local, cross-network — flat topologies put everything in net).
-  std::int64_t numa_bytes = 0;
-  std::int64_t node_bytes = 0;
-  std::int64_t net_bytes = 0;
   // Device executor (WorldConfig::device): PCIe bytes the epoch moved in
   // each direction, metered transfers, and the modelled device-side
   // makespan under the configured transfer policy (FullyStaged
@@ -212,9 +207,6 @@ inline constexpr MetricField kMetricFields[] = {
     {"dep_wait_s", &LoopMetrics::dep_wait_seconds, MetricRule::Sum},
     {"gather_span", &LoopMetrics::gather_span, MetricRule::Max},
     {"reuse_gap", &LoopMetrics::reuse_gap, MetricRule::Max},
-    {"numa_bytes", &LoopMetrics::numa_bytes, MetricRule::Sum},
-    {"node_bytes", &LoopMetrics::node_bytes, MetricRule::Sum},
-    {"net_bytes", &LoopMetrics::net_bytes, MetricRule::Sum},
     {"h2d_bytes", &LoopMetrics::h2d_bytes, MetricRule::Sum},
     {"d2h_bytes", &LoopMetrics::d2h_bytes, MetricRule::Sum},
     {"device_transfers", &LoopMetrics::device_transfers, MetricRule::Sum},
@@ -447,7 +439,6 @@ struct WorldConfig {
   /// Set partitioned directly; others derive through maps. Empty = set 0.
   std::string seed_set;
   int halo_depth = 2;
-  sim::CostModel cost{};
   /// Transport layer: backend selection (sim fabric or MPI) plus the
   /// persistent-channel knobs. The defaults — sim backend,
   /// non-persistent — keep every exchange on the plain single-isend

@@ -58,9 +58,6 @@ const LoopMetrics& Epoch::finish(std::map<std::string, LoopMetrics>& into,
   m.max_msg_bytes = cs.epoch_max_msg_bytes;
   m.max_rank_bytes = cs.epoch_bytes_sent;
   m.max_neighbors = static_cast<std::int64_t>(cs.epoch_neighbors.size());
-  m.numa_bytes = cs.epoch_bytes_by_tier[static_cast<int>(sim::Tier::Numa)];
-  m.node_bytes = cs.epoch_bytes_by_tier[static_cast<int>(sim::Tier::Node)];
-  m.net_bytes = cs.epoch_bytes_by_tier[static_cast<int>(sim::Tier::Net)];
 
   m.wall_seconds = timer_.elapsed();
   m.pack_seconds = t_[kPack];

@@ -200,11 +200,12 @@ std::map<std::string, LoopMetrics> World::chain_metrics() const {
 void World::write_metrics_csv(std::ostream& os) const {
   require_outside_rank_threads("write_metrics_csv");
   // One column per kMetricFields entry after the row's kind and name;
-  // the derived layout and bytes_per_elem columns sit before numa_bytes.
+  // the derived layout and bytes_per_elem columns sit after reuse_gap.
   std::vector<std::string> header = {"kind", "name"};
   for (const MetricField& f : kMetricFields) header.emplace_back(f.column);
   const auto derived_at =
-      std::find(header.begin(), header.end(), "numa_bytes") - header.begin();
+      std::find(header.begin(), header.end(), "reuse_gap") - header.begin() +
+      1;
   header.insert(header.begin() + derived_at, {"layout", "bytes_per_elem"});
   Table t;
   t.set_header(std::move(header));

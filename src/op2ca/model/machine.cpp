@@ -15,17 +15,9 @@ Machine archer2() {
   m.net.per_message_overhead_s = 4.0e-6;
   m.net.bandwidth_Bps = 12.5e9;    // 100 Gb/s per direction per NIC.
   m.net.pack_bandwidth_Bps = 35e9; // streaming chunk-memcpy class.
-  // Slingshot is provisioned 2 x 100 Gb/s per node: the model spreads
-  // large messages across two rails. Persistent channels skip the matching/
-  // envelope share of the per-message host overhead.
-  m.net.net_rails = 2;
+  // Persistent channels skip the matching/envelope share of the
+  // per-message host overhead.
   m.net.channel_overhead_s = 1.0e-6;
-  // Hierarchy: 2 sockets x 4 NUMA domains x 16 cores; messages that stay
-  // inside a NUMA domain or node move at shared-memory latencies.
-  m.net.ranks_per_numa = 16;
-  m.net.ranks_per_node = 128;
-  m.net.numa = {2.0e-7, 50e9, 1};
-  m.net.node = {5.0e-7, 25e9, 1};
   m.ranks_per_node = 128;          // 2 x 64 cores, 1 MPI rank per core.
   // An EPYC 7742 core running the production build (AVX2-vectorized
   // flux kernels, -O3) retires these low-arithmetic-intensity kernels
@@ -40,12 +32,8 @@ Machine cirrus_gpu() {
   m.name = "cirrus";
   m.net.name = "fdr-ib";
   m.net.latency_s = 1.5e-6;        // FDR InfiniBand.
-  m.net.bandwidth_Bps = 6.8e9;     // 54.5 Gb/s, single rail.
+  m.net.bandwidth_Bps = 6.8e9;     // 54.5 Gb/s.
   m.net.pack_bandwidth_Bps = 25e9;
-  // 4 GPUs share one HCA: no striping, but node-local peers exchange
-  // over PCIe/NVLink rather than the fabric.
-  m.net.ranks_per_node = 4;
-  m.net.node = {8.0e-7, 15e9, 1};
   m.ranks_per_node = 4;            // 1 MPI rank per GPU.
   m.is_gpu = true;
   // Staged halo path: D2H copy + H2D copy + kernel-launch overheads per

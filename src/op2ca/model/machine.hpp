@@ -8,7 +8,6 @@
 // computation/communication balance is realistic.
 #pragma once
 
-#include <cstddef>
 #include <string>
 
 #include "op2ca/comm/cost_model.hpp"
@@ -88,21 +87,11 @@ struct Machine {
   }
   double extra_latency_s = 0.0;
   DeviceTier device;
-  /// Multi-rail threshold of the model: messages at or above this are
-  /// assumed to spread across net.net_rails parallel links, which enters
-  /// Eq (1)/(3) as an effective bandwidth B * rails on the m/B
-  /// serialisation term. Latency-bound messages below it are unaffected
-  /// — rails buy bandwidth, not latency. With net_rails == 1 (the
-  /// default CostModel) every prediction is bitwise-identical to the
-  /// flat model. The runtime itself sends one message per neighbour and
-  /// never splits it (in-process striping measured slower).
-  std::size_t stripe_min_bytes = std::size_t{64} * 1024;
-  /// Effective wire bandwidth for one `bytes`-sized message: B times the
-  /// rail count once the message reaches stripe_min_bytes.
-  double effective_bandwidth(std::size_t bytes) const {
-    const bool striped =
-        net.net_rails > 1 && bytes >= stripe_min_bytes;
-    const double wire = net.bandwidth_Bps * (striped ? net.net_rails : 1);
+  /// Effective bandwidth B of the m/B terms of Eqs (1)/(3): the flat
+  /// network bandwidth, in series with the exposed PCIe share on the
+  /// device path.
+  double effective_bandwidth() const {
+    const double wire = net.bandwidth_Bps;
     if (!device.enabled) return wire;
     // Halo bytes cross PCIe twice (D2H at the sender, H2D at the
     // receiver) in series with the wire; overlap hides that share.

@@ -6,12 +6,7 @@ namespace op2ca::model {
 
 double t_op2_loop(const Machine& mach, const LoopTerms& t) {
   const double L = mach.effective_latency();
-  // Multiple rails fold into Eq (1) as an effective bandwidth on the
-  // serialisation term: the model moves a message >= the rail threshold
-  // over net_rails links concurrently. The per-dat level-1 messages are
-  // usually latency-bound and stay below it.
-  const double B =
-      mach.effective_bandwidth(static_cast<std::size_t>(t.m1));
+  const double B = mach.effective_bandwidth();
   const double su =
       mach.compute_speedup() * mach.vector_width / mach.locality_factor;
   const double compute_core =
@@ -30,12 +25,7 @@ double t_op2_chain(const Machine& mach, const std::vector<LoopTerms>& ts) {
 
 double t_ca_chain(const Machine& mach, const ChainTerms& t) {
   const double L = mach.effective_latency();
-  // The grouped message m_r is the natural striping beneficiary: one
-  // large message per neighbour clears the threshold where the baseline's
-  // many small per-dat messages do not — Eq (3)'s m_r/B term shrinks by
-  // the rail count while Eq (1) keeps flat bandwidth.
-  const double B =
-      mach.effective_bandwidth(static_cast<std::size_t>(t.m_r));
+  const double B = mach.effective_bandwidth();
   const double su =
       mach.compute_speedup() * mach.vector_width / mach.locality_factor;
   double compute_core = 0.0, compute_halo = 0.0;
@@ -57,12 +47,10 @@ double t_ca_chain(const Machine& mach, const ChainTerms& t) {
 double t_ca_chain_tiled(const Machine& mach, const ChainTerms& t, int tile) {
   const int k = std::max(1, tile);
   // The fused epoch's grouped message carries every skipped exchange's
-  // layers: ~k times the per-invocation m_r, priced at that size's
-  // effective bandwidth (striping engages sooner on the bigger message).
+  // layers: ~k times the per-invocation m_r.
   const std::int64_t m_tile = t.m_r * static_cast<std::int64_t>(k);
   const double L = mach.effective_latency();
-  const double B =
-      mach.effective_bandwidth(static_cast<std::size_t>(m_tile));
+  const double B = mach.effective_bandwidth();
   const double su =
       mach.compute_speedup() * mach.vector_width / mach.locality_factor;
   double compute_core = 0.0, compute_halo = 0.0;

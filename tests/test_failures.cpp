@@ -292,7 +292,7 @@ std::string channel_transfer_error(sim::Transport& t,
   std::vector<std::thread> threads;
   for (int r = 0; r < 2; ++r) {
     threads.emplace_back([&, r] {
-      sim::Comm c(t, r, nullptr, &tc);
+      sim::Comm c(t, r, &tc);
       const sim::ChannelSpec spec{1 - r, /*sender=*/r == 0, bytes, 9};
       auto chans =
           c.open_channels(std::span<const sim::ChannelSpec>(&spec, 1));
@@ -347,7 +347,7 @@ TEST(TransportFailures, StaleChannelGeometryRejected) {
   for (int r = 0; r < 2; ++r) {
     threads.emplace_back([&, r] {
       try {
-        sim::Comm c(t, r, nullptr, &tc);
+        sim::Comm c(t, r, &tc);
         sim::ChannelSpec spec;
         spec.peer = 1 - r;
         spec.sender = (r == 0);

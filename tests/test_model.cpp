@@ -107,6 +107,35 @@ TEST(PerfModel, Equation3UsesGroupedMessage) {
   EXPECT_NEAR(t_ca_chain(m, c), std::max(core, comm) + halo, 1e-12);
 }
 
+TEST(PerfModel, LargeMessagesUseFlatBandwidth) {
+  // The archer2 preset prices every message at its one B: a 256 KiB
+  // grouped message and a 128 KiB per-dat message get no wider wire
+  // than a small one.
+  const Machine m = archer2();
+  const double L = m.net.latency_s;
+  const double B = m.net.bandwidth_Bps;
+
+  LoopTerms l;
+  l.g = 1e-8;
+  l.core_iters = 100;
+  l.halo_iters = 50;
+  l.p = 2;
+  l.m1 = 128 * 1024;
+  l.msgs_per_neighbor = 2;
+  // Eq (1): comm-bound at 2 * 2 * (L + m1/B) against 1e-6 s of core.
+  const double comm1 = 2.0 * 2 * (L + static_cast<double>(l.m1) / B);
+  EXPECT_DOUBLE_EQ(t_op2_loop(m, l), std::max(1e-6, comm1) + 5e-7);
+
+  ChainTerms c;
+  c.loops = {l, l};
+  c.p = 3;
+  c.m_r = 256 * 1024;
+  // Eq (3) with c the receiver-side unpack at pack bandwidth.
+  const double mr = static_cast<double>(c.m_r);
+  const double comm3 = 3 * (L + mr / B + m.net.pack_time(c.m_r));
+  EXPECT_DOUBLE_EQ(t_ca_chain(m, c), std::max(2e-6, comm3) + 1e-6);
+}
+
 TEST(PerfModel, GainPercent) {
   EXPECT_DOUBLE_EQ(gain_percent(2.0, 1.0), 50.0);
   EXPECT_DOUBLE_EQ(gain_percent(1.0, 2.0), -100.0);

@@ -496,8 +496,7 @@ TEST(RuntimeOp2, MetricsCsvExport) {
       "core_s", "wait_s", "unpack_s", "halo_s", "regions", "plan_builds",
       "staging_allocs", "chunks", "colours", "busy_s", "tasks", "steals",
       "dep_wait_s", "gather_span", "reuse_gap", "layout", "bytes_per_elem",
-      "numa_bytes", "node_bytes", "net_bytes", "h2d_bytes", "d2h_bytes",
-      "device_transfers", "device_s", "tile", "redundant_elems",
+      "h2d_bytes", "d2h_bytes", "device_transfers", "device_s", "tile", "redundant_elems",
       "msgs_saved"};
   ASSERT_GE(header.size(), stable.size());
   EXPECT_TRUE(std::equal(stable.begin(), stable.end(), header.begin()));

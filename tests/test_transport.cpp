@@ -1,6 +1,6 @@
 // Transport-layer tests: the channel handshake wire format, persistent-
-// channel negotiation, tier accounting, the hierarchical cost model, and
-// backend selection (sim / mpi-stub).
+// channel negotiation, the cost model's channel term, the calibration
+// loader, and backend selection (sim / mpi-stub).
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -31,15 +31,15 @@ ByteBuf pattern_bytes(std::size_t n, unsigned seed = 1) {
 /// Runs fn(comm, rank) on one thread per rank, all sharing `t`. Rethrows
 /// the first rank failure after poisoning the fabric so peers unwind.
 template <typename Fn>
-void spmd(TransportBackend& t, int nranks, const CostModel* cost,
-          const TransportConfig* tcfg, Fn fn) {
+void spmd(TransportBackend& t, int nranks, const TransportConfig* tcfg,
+          Fn fn) {
   std::vector<std::thread> threads;
   std::exception_ptr first_error;
   std::mutex err_mu;
   for (int r = 0; r < nranks; ++r) {
     threads.emplace_back([&, r] {
       try {
-        Comm c(t, r, cost, tcfg);
+        Comm c(t, r, tcfg);
         fn(c, r);
       } catch (...) {
         {
@@ -77,7 +77,7 @@ TEST(Channels, NegotiateThenTransfer) {
   Transport t(2);
   TransportConfig tc;
   tc.persistent = true;
-  spmd(t, 2, nullptr, &tc, [&](Comm& c, int r) {
+  spmd(t, 2, &tc, [&](Comm& c, int r) {
     ChannelSpec spec;
     spec.peer = 1 - r;
     spec.sender = (r == 0);
@@ -112,7 +112,7 @@ TEST(Channels, BidirectionalPairsKeepIndependentIds) {
   Transport t(2);
   TransportConfig tc;
   tc.persistent = true;
-  spmd(t, 2, nullptr, &tc, [&](Comm& c, int r) {
+  spmd(t, 2, &tc, [&](Comm& c, int r) {
     // Rank r sends 256 + 128r bytes and receives the peer's size back.
     const std::size_t send_bytes = 256 + 128 * static_cast<std::size_t>(r);
     const std::size_t recv_bytes =
@@ -142,7 +142,7 @@ TEST(Channels, StaleHashFailsLoudly) {
   for (int r = 0; r < 2; ++r) {
     threads.emplace_back([&, r] {
       try {
-        Comm c(t, r, nullptr, &tc);
+        Comm c(t, r, &tc);
         ChannelSpec spec;
         spec.peer = 1 - r;
         spec.sender = (r == 0);
@@ -166,43 +166,7 @@ TEST(Channels, StaleHashFailsLoudly) {
       << errors[0] << " / " << errors[1];
 }
 
-// ---- Tier accounting. -----------------------------------------------------
-
-TEST(Tiers, SendStatsSplitByMachineTier) {
-  CostModel cm;
-  cm.ranks_per_numa = 2;
-  cm.ranks_per_node = 4;
-  Transport t(8);
-  Comm c(t, 0, &cm, nullptr);
-  ByteBuf b = pattern_bytes(100);
-  auto r1 = c.isend(1, 0, std::span<const std::byte>(b));  // same NUMA.
-  auto r2 = c.isend(2, 0, std::span<const std::byte>(b));  // same node.
-  auto r3 = c.isend(4, 0, std::span<const std::byte>(b));  // across nodes.
-  c.wait(r1);
-  c.wait(r2);
-  c.wait(r3);
-  const CommStats& s = c.stats();
-  EXPECT_EQ(s.msgs_by_tier[static_cast<int>(Tier::Numa)], 1);
-  EXPECT_EQ(s.msgs_by_tier[static_cast<int>(Tier::Node)], 1);
-  EXPECT_EQ(s.msgs_by_tier[static_cast<int>(Tier::Net)], 1);
-  EXPECT_EQ(s.bytes_by_tier[static_cast<int>(Tier::Numa)], 100);
-  EXPECT_EQ(s.epoch_msgs_by_tier[static_cast<int>(Tier::Net)], 1);
-}
-
-// ---- Hierarchical cost model. ---------------------------------------------
-
-TEST(CostModelTiers, TierOfUsesCheapestContainingTier) {
-  CostModel cm;
-  // Flat default: everything crosses the network.
-  EXPECT_EQ(cm.tier_of(0, 1), Tier::Net);
-  cm.ranks_per_numa = 2;
-  cm.ranks_per_node = 4;
-  EXPECT_EQ(cm.tier_of(0, 1), Tier::Numa);
-  EXPECT_EQ(cm.tier_of(0, 2), Tier::Node);
-  EXPECT_EQ(cm.tier_of(0, 4), Tier::Net);
-  EXPECT_EQ(cm.tier_of(5, 6), Tier::Node);  // same node, NUMA domains 2/3.
-  EXPECT_EQ(cm.tier_of(6, 7), Tier::Numa);
-}
+// ---- Cost model. ----------------------------------------------------------
 
 TEST(CostModelTiers, ChannelTimeSwapsHostOverhead) {
   CostModel cm;
@@ -210,21 +174,10 @@ TEST(CostModelTiers, ChannelTimeSwapsHostOverhead) {
   cm.bandwidth_Bps = 1e9;
   cm.per_message_overhead_s = 4e-6;
   cm.channel_overhead_s = 5e-7;
-  EXPECT_DOUBLE_EQ(cm.channel_time(8000, Tier::Net),
-                   cm.message_time(8000, Tier::Net) - 4e-6 + 5e-7);
+  EXPECT_DOUBLE_EQ(cm.channel_time(8000),
+                   cm.message_time(8000) - 4e-6 + 5e-7);
   // The pre-negotiated slot must beat the ad-hoc send.
-  EXPECT_LT(cm.channel_time(8000, Tier::Net),
-            cm.message_time(8000, Tier::Net));
-}
-
-TEST(CostModelTiers, IntraNodeTiersAreCheaper) {
-  CostModel cm;
-  cm.ranks_per_numa = 2;
-  cm.ranks_per_node = 4;
-  EXPECT_LT(cm.message_time(4096, Tier::Numa),
-            cm.message_time(4096, Tier::Node));
-  EXPECT_LT(cm.message_time(4096, Tier::Node),
-            cm.message_time(4096, Tier::Net));
+  EXPECT_LT(cm.channel_time(8000), cm.message_time(8000));
 }
 
 // ---- Backend selection. ---------------------------------------------------
@@ -257,7 +210,7 @@ TEST(Backends, MpiStubCarriesFullProtocol) {
   auto be = make_backend(tc, 2);
   EXPECT_STREQ(be->name(), "mpi-stub");
   const std::size_t kBytes = 5000;
-  spmd(*be, 2, nullptr, &tc, [&](Comm& c, int r) {
+  spmd(*be, 2, &tc, [&](Comm& c, int r) {
     // Collectives exercise the negative internal tags through the stub's
     // tag shift; the channel exchange exercises the handshake and the
     // high channel tags.
@@ -280,18 +233,17 @@ TEST(Backends, MpiStubCarriesFullProtocol) {
 // ---- calibration-file loader (BENCH_calibration.json round-trip) ----
 
 std::string calibration_json(const std::string& net_lat = "5e-6",
-                             const std::string& net_bw = "10e9",
-                             const std::string& net_rails = "2") {
+                             const std::string& net_bw = "10e9") {
   return std::string("{\n"
                      "  \"backend\": \"sim\", \"nranks\": 4, \"iters\": 16,\n"
                      "  \"tiers\": {\n"
                      "    \"numa\": {\"latency_s\": 5e-7, "
-                     "\"bandwidth_Bps\": 4e10, \"rails\": 1},\n"
+                     "\"bandwidth_Bps\": 4e10, \"stride\": 1},\n"
                      "    \"node\": {\"latency_s\": 1e-6, "
-                     "\"bandwidth_Bps\": 2e10, \"rails\": 1},\n"
+                     "\"bandwidth_Bps\": 2e10, \"stride\": 2},\n"
                      "    \"net\": {\"latency_s\": ") +
          net_lat + ", \"bandwidth_Bps\": " + net_bw +
-         ", \"rails\": " + net_rails + "}\n  }\n}\n";
+         ", \"stride\": 3}\n  }\n}\n";
 }
 
 TEST(Calibration, ParsesBenchCalibrateSchema) {
@@ -299,11 +251,32 @@ TEST(Calibration, ParsesBenchCalibrateSchema) {
   EXPECT_EQ(cal.backend, "sim");
   EXPECT_EQ(cal.nranks, 4);
   EXPECT_DOUBLE_EQ(cal.tier(Tier::Numa).latency_s, 5e-7);
+  EXPECT_DOUBLE_EQ(cal.tier(Tier::Node).latency_s, 1e-6);
   EXPECT_DOUBLE_EQ(cal.tier(Tier::Node).bandwidth_Bps, 2e10);
   EXPECT_DOUBLE_EQ(cal.tier(Tier::Net).latency_s, 5e-6);
-  EXPECT_EQ(cal.tier(Tier::Net).rails, 2);
-  const TierParams node = TierParams::from_calibration(cal, Tier::Node);
-  EXPECT_DOUBLE_EQ(node.latency_s, 1e-6);
+}
+
+TEST(Calibration, ParsesFilesThatStillCarryRails) {
+  // Calibration files written before the concurrent-pair sweep was
+  // removed carry that sweep's keys in every tier; the loader ignores
+  // them and reads the same latency and bandwidth.
+  const std::string older =
+      "{\n  \"backend\": \"sim\", \"nranks\": 4, \"iters\": 16,\n"
+      "  \"tiers\": {\n"
+      "    \"numa\": {\"latency_s\": 5e-7, \"bandwidth_Bps\": 4e10, "
+      "\"rails\": 1, \"stride\": 1, \"pairs\": 2},\n"
+      "    \"node\": {\"latency_s\": 1e-6, \"bandwidth_Bps\": 2e10, "
+      "\"rails\": 1, \"stride\": 2, \"pairs\": 1},\n"
+      "    \"net\": {\"latency_s\": 5e-6, \"bandwidth_Bps\": 10e9, "
+      "\"rails\": 2, \"stride\": 3, \"pairs\": 1}\n  }\n}\n";
+  const Calibration a = parse_calibration(older);
+  const Calibration b = parse_calibration(calibration_json());
+  EXPECT_EQ(a.backend, b.backend);
+  EXPECT_EQ(a.nranks, b.nranks);
+  for (int t = 0; t < kNumTiers; ++t) {
+    EXPECT_EQ(a.tiers[t].latency_s, b.tiers[t].latency_s) << t;
+    EXPECT_EQ(a.tiers[t].bandwidth_Bps, b.tiers[t].bandwidth_Bps) << t;
+  }
 }
 
 TEST(Calibration, AppliedModelUsesMeasuredTiers) {
@@ -313,12 +286,9 @@ TEST(Calibration, AppliedModelUsesMeasuredTiers) {
   cm.channel_overhead_s = 1e-6;
   cm.pack_bandwidth_Bps = 21e9;
   apply_calibration(cal, &cm);
-  // Net tier lands in the legacy flat fields every Eq (1)-(3) term reads.
+  // The net tier becomes the L and B every Eq (1)-(3) term reads.
   EXPECT_DOUBLE_EQ(cm.latency_s, 5e-6);
   EXPECT_DOUBLE_EQ(cm.bandwidth_Bps, 10e9);
-  EXPECT_EQ(cm.net_rails, 2);
-  EXPECT_DOUBLE_EQ(cm.numa.bandwidth_Bps, 4e10);
-  EXPECT_DOUBLE_EQ(cm.node.latency_s, 1e-6);
   // Host-side overheads are not wire-measured and must survive.
   EXPECT_DOUBLE_EQ(cm.per_message_overhead_s, 4e-6);
   EXPECT_DOUBLE_EQ(cm.channel_overhead_s, 1e-6);
@@ -344,9 +314,8 @@ TEST(Calibration, RejectsNonPositiveAndNonMonotoneTiers) {
   EXPECT_THROW(parse_calibration(calibration_json("5e-6", "3e10")), Error);
   // Net latency below the node tier.
   EXPECT_THROW(parse_calibration(calibration_json("5e-7", "10e9")), Error);
-  // Zero rails.
-  EXPECT_THROW(parse_calibration(calibration_json("5e-6", "10e9", "0")),
-               Error);
+  // Zero bandwidth.
+  EXPECT_THROW(parse_calibration(calibration_json("5e-6", "0")), Error);
   // Too-small world.
   std::string text = calibration_json();
   text.replace(text.find("\"nranks\": 4"), 11, "\"nranks\": 1");
